@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "core/processor.h"
+#include "core/stage.h"
 #include "core/toolkit.h"
 #include "cql/continuous_query.h"
 #include "cql/evaluator.h"
@@ -235,6 +236,56 @@ void BM_ProcessorShelfTickRowStore(benchmark::State& state) {
   RunProcessorShelfTick(state, /*columnar=*/false);
 }
 BENCHMARK(BM_ProcessorShelfTickRowStore);
+
+// --- Correlated subquery (Arbitrate, paper Query 3) ------------------------
+// One Arbitrate evaluation per tick over `tags` distinct tags, each read by
+// two granules. Decorrelation runs Query 3's `>= ALL` subquery once per tick
+// instead of once per (granule, tag) group, so the cost per row stays flat
+// as tags grow; nested execution costs O(tags) per row. The perf-smoke job
+// gates on the 5000-tag vs 50-tag per-row ratio.
+
+void BM_ArbitrateCorrelated(benchmark::State& state) {
+  const int64_t tags = state.range(0);
+  const std::string input = core::StageInputName(core::StageKind::kArbitrate);
+  SchemaRef schema =
+      stream::MakeSchema({{"spatial_granule", DataType::kString},
+                          {"tag_id", DataType::kString},
+                          {"reads", DataType::kInt64}});
+  auto stage = core::ArbitrateMaxCount("tag_id", "reads")();
+  cql::SchemaCatalog catalog;
+  catalog.AddStream(input, schema);
+  if (!stage.ok() || !(*stage)->Bind(catalog).ok()) {
+    state.SkipWithError("cannot build the Arbitrate stage");
+    return;
+  }
+  const Value granules[] = {Value::Interned("shelf_0"),
+                            Value::Interned("shelf_1")};
+  std::vector<Value> tag_ids;
+  for (int64_t i = 0; i < tags; ++i) {
+    tag_ids.push_back(Value::Interned("tag_" + std::to_string(i)));
+  }
+  Rng rng(17);
+  int64_t tick = 0;
+  bench::LatencyRecorder latency;
+  for (auto _ : state) {
+    TimedTick(latency, [&] {
+      const Timestamp now = Timestamp::Micros(200000 * tick);
+      for (const Value& tag : tag_ids) {
+        for (const Value& granule : granules) {
+          (void)(*stage)->Push(
+              input, Tuple(schema, {granule, tag, Value::Int64(rng.UniformInt(1, 5))},
+                           now));
+        }
+      }
+      auto result = (*stage)->Evaluate(now);
+      benchmark::DoNotOptimize(result);
+      ++tick;
+    });
+  }
+  latency.Report(state);
+  state.SetItemsProcessed(state.iterations() * 2 * tags);
+}
+BENCHMARK(BM_ArbitrateCorrelated)->Arg(50)->Arg(500)->Arg(5000);
 
 // --- Incremental vs rescan window evaluation ------------------------------
 // The sliding-window grouped aggregate (the paper's Query 2 shape) takes

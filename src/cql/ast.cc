@@ -219,4 +219,131 @@ std::string SelectQuery::ToString() const {
   return result;
 }
 
+namespace {
+
+std::unique_ptr<SelectQuery> CloneSubquery(const std::unique_ptr<SelectQuery>& q) {
+  return q == nullptr ? nullptr : CloneQuery(*q);
+}
+
+}  // namespace
+
+ExprPtr CloneExpr(const Expr& expr) {
+  switch (expr.kind()) {
+    case ExprKind::kLiteral:
+      return std::make_unique<LiteralExpr>(
+          static_cast<const LiteralExpr&>(expr).value);
+    case ExprKind::kColumnRef: {
+      const auto& ref = static_cast<const ColumnRefExpr&>(expr);
+      return std::make_unique<ColumnRefExpr>(ref.qualifier, ref.name);
+    }
+    case ExprKind::kStar:
+      return std::make_unique<StarExpr>();
+    case ExprKind::kUnary: {
+      const auto& unary = static_cast<const UnaryExpr&>(expr);
+      return std::make_unique<UnaryExpr>(unary.op, CloneExpr(*unary.operand));
+    }
+    case ExprKind::kBinary: {
+      const auto& binary = static_cast<const BinaryExpr&>(expr);
+      return std::make_unique<BinaryExpr>(binary.op, CloneExpr(*binary.lhs),
+                                          CloneExpr(*binary.rhs));
+    }
+    case ExprKind::kFunctionCall: {
+      const auto& call = static_cast<const FunctionCallExpr&>(expr);
+      std::vector<ExprPtr> args;
+      args.reserve(call.args.size());
+      for (const ExprPtr& arg : call.args) args.push_back(CloneExpr(*arg));
+      return std::make_unique<FunctionCallExpr>(call.name, call.distinct,
+                                                std::move(args));
+    }
+    case ExprKind::kScalarSubquery:
+      return std::make_unique<ScalarSubqueryExpr>(
+          CloneQuery(*static_cast<const ScalarSubqueryExpr&>(expr).query));
+    case ExprKind::kQuantifiedComparison: {
+      const auto& quantified =
+          static_cast<const QuantifiedComparisonExpr&>(expr);
+      return std::make_unique<QuantifiedComparisonExpr>(
+          quantified.op, CloneExpr(*quantified.lhs), quantified.quantifier,
+          CloneQuery(*quantified.subquery));
+    }
+    case ExprKind::kIn: {
+      const auto& in = static_cast<const InExpr&>(expr);
+      std::vector<ExprPtr> list;
+      list.reserve(in.list.size());
+      for (const ExprPtr& item : in.list) list.push_back(CloneExpr(*item));
+      return std::make_unique<InExpr>(CloneExpr(*in.lhs), in.negated,
+                                      CloneSubquery(in.subquery),
+                                      std::move(list));
+    }
+    case ExprKind::kExists: {
+      const auto& exists = static_cast<const ExistsExpr&>(expr);
+      return std::make_unique<ExistsExpr>(exists.negated,
+                                          CloneQuery(*exists.subquery));
+    }
+    case ExprKind::kIsNull: {
+      const auto& is_null = static_cast<const IsNullExpr&>(expr);
+      return std::make_unique<IsNullExpr>(is_null.negated,
+                                          CloneExpr(*is_null.operand));
+    }
+    case ExprKind::kBetween: {
+      const auto& between = static_cast<const BetweenExpr&>(expr);
+      return std::make_unique<BetweenExpr>(
+          between.negated, CloneExpr(*between.value),
+          CloneExpr(*between.low), CloneExpr(*between.high));
+    }
+    case ExprKind::kCase: {
+      const auto& case_expr = static_cast<const CaseExpr&>(expr);
+      std::vector<CaseExpr::WhenClause> whens;
+      whens.reserve(case_expr.whens.size());
+      for (const CaseExpr::WhenClause& when : case_expr.whens) {
+        whens.push_back(
+            {CloneExpr(*when.condition), CloneExpr(*when.result)});
+      }
+      return std::make_unique<CaseExpr>(
+          std::move(whens), case_expr.else_result == nullptr
+                                ? nullptr
+                                : CloneExpr(*case_expr.else_result));
+    }
+  }
+  return nullptr;
+}
+
+void FlattenAnd(const Expr& expr, std::vector<const Expr*>& out) {
+  if (expr.kind() == ExprKind::kBinary) {
+    const auto& binary = static_cast<const BinaryExpr&>(expr);
+    if (binary.op == BinaryOp::kAnd) {
+      FlattenAnd(*binary.lhs, out);
+      FlattenAnd(*binary.rhs, out);
+      return;
+    }
+  }
+  out.push_back(&expr);
+}
+
+std::unique_ptr<SelectQuery> CloneQuery(const SelectQuery& query) {
+  auto clone = std::make_unique<SelectQuery>();
+  clone->distinct = query.distinct;
+  for (const SelectItem& item : query.items) {
+    clone->items.push_back({CloneExpr(*item.expr), item.alias});
+  }
+  for (const TableRef& ref : query.from) {
+    TableRef copy;
+    copy.kind = ref.kind;
+    copy.stream_name = ref.stream_name;
+    copy.window = ref.window;
+    copy.subquery = CloneSubquery(ref.subquery);
+    copy.alias = ref.alias;
+    clone->from.push_back(std::move(copy));
+  }
+  if (query.where != nullptr) clone->where = CloneExpr(*query.where);
+  for (const ExprPtr& key : query.group_by) {
+    clone->group_by.push_back(CloneExpr(*key));
+  }
+  if (query.having != nullptr) clone->having = CloneExpr(*query.having);
+  for (const OrderByItem& item : query.order_by) {
+    clone->order_by.push_back({CloneExpr(*item.expr), item.descending});
+  }
+  clone->limit = query.limit;
+  return clone;
+}
+
 }  // namespace esp::cql

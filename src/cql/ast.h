@@ -280,6 +280,15 @@ struct SelectQuery {
   std::string ToString() const;
 };
 
+/// \brief Deep copies of an expression / a query (subqueries included). The
+/// copy shares no nodes with the original, so it can be rewritten freely.
+ExprPtr CloneExpr(const Expr& expr);
+std::unique_ptr<SelectQuery> CloneQuery(const SelectQuery& query);
+
+/// \brief Appends the conjuncts of `expr`'s top-level AND tree to `out`,
+/// left to right (`expr` itself when it is not an AND).
+void FlattenAnd(const Expr& expr, std::vector<const Expr*>& out);
+
 }  // namespace esp::cql
 
 #endif  // ESP_CQL_AST_H_

@@ -407,6 +407,10 @@ StatusOr<stream::Relation> ContinuousQuery::Evaluate(Timestamp now) {
   return ExecuteQuery(*query_, *catalog_, now, exec_cache_.get());
 }
 
+SubqueryPathStats ContinuousQuery::subquery_paths() const {
+  return exec_cache_->subquery_paths();
+}
+
 size_t ContinuousQuery::buffered() const {
   size_t total = 0;
   for (const Slot& slot : streams_) total += slot.state->history.size();

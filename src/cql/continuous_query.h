@@ -161,6 +161,11 @@ class ContinuousQuery {
   /// which other queries may be counting too.
   size_t buffered() const;
 
+  /// How this query's expression subqueries have executed so far: nested
+  /// runs vs one-shot decorrelated runs, and the first reason a subquery
+  /// ran nested (cql/decorrelate.h).
+  SubqueryPathStats subquery_paths() const;
+
   /// Serializes the mutable runtime state — every stream's retained history
   /// plus the insertion/evaluation clocks. The query text and schemas are
   /// configuration and are not serialized. A shared-storage query writes

@@ -134,7 +134,7 @@ namespace {
 StatusOr<Relation> ExecuteInternal(const SelectQuery& query,
                                    const Catalog& catalog, Timestamp now,
                                    const EvalContext* outer,
-                                   QueryExecCache* cache);
+                                   QueryExecCache* cache, bool decorrelate);
 
 std::atomic<bool> g_expr_compilation{true};
 
@@ -274,27 +274,209 @@ StatusOr<Value> EvalAggregate(const FunctionCallExpr& call,
   return aggregator->Final();
 }
 
+/// Records why a subquery ran nested although decorrelation was enabled.
+void NoteDecline(const EvalContext& ec, const std::string& reason) {
+  std::string& first = ec.cache->subquery_paths().first_decline;
+  if (first.empty()) first = reason;
+}
+
+/// Runs the one-shot rewrite of `subquery` for the current outer execution
+/// and partitions its rows by key. Returns false when this execution must
+/// run the subquery nested instead: not admitted, a layout other than the
+/// planned one, or a failed one-shot run (which may fail on rows no outer
+/// key asks for, so only the nested path reproduces the right error).
+bool BuildPartitions(const SelectQuery& subquery, const EvalContext& ec,
+                     bool single_column, internal::SubqueryPartitions& parts) {
+  QueryExecCache& cache = *ec.cache;
+  const TableRef* from = subquery.from.size() == 1 ? &subquery.from[0] : nullptr;
+  stream::SchemaRef inner_schema;
+  if (from != nullptr && from->kind == TableRef::Kind::kStream) {
+    StatusOr<const Relation*> history = ec.catalog->Find(from->stream_name);
+    if (history.ok()) inner_schema = (*history)->schema();
+  }
+  const std::vector<FromContext::Frame>& frames = ec.from->frames;
+  internal::SubqueryPlan* plan = cache.FindSubqueryPlan(&subquery);
+  if (plan == nullptr) {
+    AnalysisScope outer;
+    for (const FromContext::Frame& frame : frames) {
+      outer.frames.push_back({frame.alias, frame.schema});
+    }
+    StatusOr<SubqueryRewrite> rewrite =
+        PlanDecorrelation(subquery, outer, ec.catalog->ToSchemaCatalog());
+    plan = cache.InsertSubqueryPlan(
+        &subquery,
+        {std::move(rewrite), std::move(outer.frames), inner_schema});
+  } else {
+    const auto same_frame = [](const AnalysisScope::Frame& a,
+                               const FromContext::Frame& b) {
+      return a.alias == b.alias && a.schema == b.schema;
+    };
+    if (plan->inner_schema != inner_schema ||
+        !std::equal(plan->outer_frames.begin(), plan->outer_frames.end(),
+                    frames.begin(), frames.end(), same_frame)) {
+      NoteDecline(ec, "stream layout differs from the planned one");
+      return false;
+    }
+  }
+  if (!plan->rewrite.ok()) {
+    NoteDecline(ec, plan->rewrite.status().message());
+    return false;
+  }
+  const SubqueryRewrite& rewrite = *plan->rewrite;
+  if (single_column && rewrite.value_columns != 1) {
+    NoteDecline(ec, "subquery does not produce exactly one column");
+    return false;
+  }
+  parts.rewrite = &rewrite;
+  parts.outer_key = internal::CompileExpr(*rewrite.outer_key, *ec.from);
+  StatusOr<Relation> result =
+      ExecuteInternal(*rewrite.rewritten, *ec.catalog, ec.now, nullptr,
+                      ec.cache, /*decorrelate=*/true);
+  if (!result.ok()) {
+    NoteDecline(ec, "one-shot run failed: " + result.status().message());
+    return false;
+  }
+  const uint64_t gen = ++parts.gen;
+  if (parts.index.size() > kMaxPersistentGroups) {
+    parts.index.clear();
+    parts.partitions.clear();
+  }
+  bool typed = true;
+  for (Tuple& tuple : result->mutable_tuples()) {
+    Value& key = tuple.mutable_values()[0];
+    if (key.is_null()) continue;  // `NULL = x` matches no outer key.
+    if (key.type() != rewrite.key_type) {
+      typed = false;  // Hashing is proven only for the declared type.
+      break;
+    }
+    const auto [it, inserted] =
+        parts.index.try_emplace(std::move(key), parts.partitions.size());
+    if (inserted) parts.partitions.emplace_back();
+    internal::SubqueryPartitions::Partition& partition =
+        parts.partitions[it->second];
+    if (partition.gen != gen) {
+      partition.gen = gen;
+      partition.rows = 0;
+      partition.values.clear();
+    }
+    ++partition.rows;
+    if (rewrite.value_columns == 1) {
+      partition.values.push_back(std::move(tuple.mutable_values()[1]));
+    }
+  }
+  stream::TupleArena::Local().Recycle(std::move(*result));
+  if (!typed) {
+    NoteDecline(ec, "key value of another type than declared");
+    return false;
+  }
+  ++cache.subquery_paths().decorrelated_runs;
+  return true;
+}
+
+/// The current outer row's partition of a decorrelated `subquery`, built on
+/// the first evaluation of each outer execution; nullptr when this
+/// evaluation must run `subquery` nested. A NULL or absent key reads the
+/// empty partition, as the nested run's `NULL = x` / no-match filter would.
+const internal::SubqueryPartitions::Partition* FindPartition(
+    const SelectQuery& subquery, const EvalContext& ec, bool single_column) {
+  static const internal::SubqueryPartitions::Partition kEmpty;
+  if (ec.decorrelation == nullptr) return nullptr;
+  internal::DecorrelationScratch& scratch = *ec.decorrelation;
+  internal::SubqueryPartitions* parts = nullptr;
+  for (internal::SubqueryPartitions& candidate : scratch.subqueries) {
+    if (candidate.subquery == &subquery) parts = &candidate;
+  }
+  if (parts == nullptr) {
+    parts = &scratch.subqueries.emplace_back();
+    parts->subquery = &subquery;
+  }
+  if (parts->execution != scratch.execution) {
+    parts->execution = scratch.execution;
+    parts->ready = BuildPartitions(subquery, ec, single_column, *parts);
+  }
+  if (!parts->ready) return nullptr;
+  StatusOr<Value> key = internal::EvalBound(parts->outer_key, ec);
+  if (!key.ok()) return nullptr;  // The nested run raises it.
+  if (key->is_null()) return &kEmpty;
+  if (key->type() != parts->rewrite->key_type) return nullptr;
+  const auto it = parts->index.find(*key);
+  if (it == parts->index.end()) return &kEmpty;
+  const internal::SubqueryPartitions::Partition& partition =
+      parts->partitions[it->second];
+  return partition.gen == parts->gen ? &partition : &kEmpty;
+}
+
+/// The values of a subquery's single output column: borrowed from a
+/// decorrelated partition, or owned (arena-backed) from a nested run.
+struct SubqueryColumn {
+  const std::vector<Value>* view = nullptr;
+  std::vector<Value> owned;
+
+  SubqueryColumn() = default;
+  SubqueryColumn(SubqueryColumn&&) = default;
+  SubqueryColumn& operator=(SubqueryColumn&&) = default;
+  ~SubqueryColumn() { stream::TupleArena::Local().Release(std::move(owned)); }
+  const std::vector<Value>& values() const {
+    return view != nullptr ? *view : owned;
+  }
+};
+
+/// Runs `subquery` nested under the current outer row or group.
+StatusOr<Relation> ExecuteNested(const SelectQuery& subquery,
+                                 const EvalContext& ec) {
+  if (ec.cache != nullptr) ++ec.cache->subquery_paths().nested_runs;
+  return ExecuteInternal(subquery, *ec.catalog, ec.now, &ec, ec.cache,
+                         ec.decorrelation != nullptr);
+}
+
 /// Evaluates a subquery and returns the values of its single output column.
-/// The returned vector's backing store comes from the thread's arena;
-/// callers Release() it when done.
-StatusOr<std::vector<Value>> EvalSubqueryColumn(const SelectQuery& subquery,
-                                                const EvalContext& ec,
-                                                const char* what) {
-  ESP_ASSIGN_OR_RETURN(
-      Relation result,
-      ExecuteInternal(subquery, *ec.catalog, ec.now, &ec, ec.cache));
+StatusOr<SubqueryColumn> EvalSubqueryColumn(const SelectQuery& subquery,
+                                            const EvalContext& ec,
+                                            const char* what) {
+  SubqueryColumn column;
+  if (const auto* partition = FindPartition(subquery, ec, true)) {
+    column.view = &partition->values;
+    return column;
+  }
+  ESP_ASSIGN_OR_RETURN(Relation result, ExecuteNested(subquery, ec));
   if (result.schema()->num_fields() != 1) {
     return Status::InvalidArgument(std::string(what) +
                                    " subquery must produce exactly one column");
   }
-  std::vector<Value> values = stream::TupleArena::Local().Acquire(result.size());
+  column.owned = stream::TupleArena::Local().Acquire(result.size());
   for (Tuple& tuple : result.mutable_tuples()) {
-    values.push_back(std::move(tuple.mutable_values()[0]));
+    column.owned.push_back(std::move(tuple.mutable_values()[0]));
   }
   // The result tuples' backing stores go back to the arena; per-tick
   // subqueries (paper Query 3's ALL) stop churning the allocator.
   stream::TupleArena::Local().Recycle(std::move(result));
-  return values;
+  return column;
+}
+
+/// `lhs op ALL/ANY (subquery)` with the left operand already evaluated.
+StatusOr<Value> EvalQuantified(const QuantifiedComparisonExpr& quantified,
+                               const Value& lhs, const EvalContext& ec) {
+  ESP_ASSIGN_OR_RETURN(
+      const SubqueryColumn column,
+      EvalSubqueryColumn(*quantified.subquery, ec, "ALL/ANY"));
+  // ALL over empty set is true; ANY over empty set is false.
+  bool saw_null = false;
+  for (const Value& rhs : column.values()) {
+    ESP_ASSIGN_OR_RETURN(const Value cmp,
+                         EvalComparison(quantified.op, lhs, rhs));
+    if (cmp.is_null()) {
+      saw_null = true;
+      continue;
+    }
+    if (quantified.quantifier == Quantifier::kAll && !cmp.bool_value()) {
+      return Value::Bool(false);
+    }
+    if (quantified.quantifier == Quantifier::kAny && cmp.bool_value()) {
+      return Value::Bool(true);
+    }
+  }
+  if (saw_null) return Value::Null();
+  return Value::Bool(quantified.quantifier == Quantifier::kAll);
 }
 
 /// Folds an all-constant operator node into kConst by evaluating it once.
@@ -478,64 +660,38 @@ StatusOr<Value> EvalExpr(const Expr& expr, const EvalContext& ec) {
     }
     case ExprKind::kScalarSubquery: {
       const auto& subquery = static_cast<const ScalarSubqueryExpr&>(expr);
-      ESP_ASSIGN_OR_RETURN(std::vector<Value> values,
+      ESP_ASSIGN_OR_RETURN(const SubqueryColumn column,
                            EvalSubqueryColumn(*subquery.query, ec, "scalar"));
+      const std::vector<Value>& values = column.values();
       if (values.empty()) return Value::Null();
       if (values.size() > 1) {
         return Status::InvalidArgument(
             "scalar subquery produced more than one row");
       }
-      Value result = std::move(values[0]);
-      stream::TupleArena::Local().Release(std::move(values));
-      return result;
+      return values[0];
     }
     case ExprKind::kQuantifiedComparison: {
       const auto& quantified =
           static_cast<const QuantifiedComparisonExpr&>(expr);
       ESP_ASSIGN_OR_RETURN(const Value lhs, EvalExpr(*quantified.lhs, ec));
-      ESP_ASSIGN_OR_RETURN(
-          std::vector<Value> values,
-          EvalSubqueryColumn(*quantified.subquery, ec, "ALL/ANY"));
-      // ALL over empty set is true; ANY over empty set is false.
-      bool saw_null = false;
-      std::optional<bool> verdict;
-      for (const Value& rhs : values) {
-        ESP_ASSIGN_OR_RETURN(const Value cmp,
-                             EvalComparison(quantified.op, lhs, rhs));
-        if (cmp.is_null()) {
-          saw_null = true;
-          continue;
-        }
-        if (quantified.quantifier == Quantifier::kAll && !cmp.bool_value()) {
-          verdict = false;
-          break;
-        }
-        if (quantified.quantifier == Quantifier::kAny && cmp.bool_value()) {
-          verdict = true;
-          break;
-        }
-      }
-      stream::TupleArena::Local().Release(std::move(values));
-      if (verdict.has_value()) return Value::Bool(*verdict);
-      if (saw_null) return Value::Null();
-      return Value::Bool(quantified.quantifier == Quantifier::kAll);
+      return EvalQuantified(quantified, lhs, ec);
     }
     case ExprKind::kIn: {
       const auto& in = static_cast<const InExpr&>(expr);
       ESP_ASSIGN_OR_RETURN(const Value lhs, EvalExpr(*in.lhs, ec));
       if (lhs.is_null()) return Value::Null();
-      std::vector<Value> values;
+      SubqueryColumn column;
       if (in.subquery != nullptr) {
-        ESP_ASSIGN_OR_RETURN(values, EvalSubqueryColumn(*in.subquery, ec, "IN"));
+        ESP_ASSIGN_OR_RETURN(column, EvalSubqueryColumn(*in.subquery, ec, "IN"));
       } else {
         for (const ExprPtr& item : in.list) {
           ESP_ASSIGN_OR_RETURN(Value value, EvalExpr(*item, ec));
-          values.push_back(std::move(value));
+          column.owned.push_back(std::move(value));
         }
       }
       bool saw_null = false;
       bool found = false;
-      for (const Value& candidate : values) {
+      for (const Value& candidate : column.values()) {
         if (candidate.is_null()) {
           saw_null = true;
           continue;
@@ -545,17 +701,18 @@ StatusOr<Value> EvalExpr(const Expr& expr, const EvalContext& ec) {
           break;
         }
       }
-      stream::TupleArena::Local().Release(std::move(values));
       if (found) return Value::Bool(!in.negated);
       if (saw_null) return Value::Null();
       return Value::Bool(in.negated);
     }
     case ExprKind::kExists: {
       const auto& exists = static_cast<const ExistsExpr&>(expr);
-      ESP_ASSIGN_OR_RETURN(
-          Relation result,
-          ExecuteInternal(*exists.subquery, *ec.catalog, ec.now, &ec,
-                          ec.cache));
+      if (const auto* partition = FindPartition(*exists.subquery, ec, false)) {
+        const bool has_rows = partition->rows > 0;
+        return Value::Bool(exists.negated ? !has_rows : has_rows);
+      }
+      ESP_ASSIGN_OR_RETURN(Relation result,
+                           ExecuteNested(*exists.subquery, ec));
       const bool has_rows = !result.empty();
       stream::TupleArena::Local().Recycle(std::move(result));
       return Value::Bool(exists.negated ? !has_rows : has_rows);
@@ -709,9 +866,16 @@ BoundExpr CompileExpr(const Expr& expr, const FromContext& from) {
       return bound;
     }
     case ExprKind::kScalarSubquery:
-    case ExprKind::kQuantifiedComparison:
     case ExprKind::kExists:
       return MakeFallback(expr);  // Subqueries re-enter ExecuteInternal.
+    case ExprKind::kQuantifiedComparison: {
+      // The subquery stays interpretive; its left operand (Query 3's
+      // `max(reads)`) is evaluated compiled, once per outer group.
+      BoundExpr bound = MakeFallback(expr);
+      bound.children.push_back(CompileExpr(
+          *static_cast<const QuantifiedComparisonExpr&>(expr).lhs, from));
+      return bound;
+    }
     case ExprKind::kIn: {
       const auto& in = static_cast<const InExpr&>(expr);
       if (in.subquery != nullptr) return MakeFallback(expr);
@@ -770,8 +934,13 @@ StatusOr<Value> EvalBound(const BoundExpr& bound, const EvalContext& ec) {
       return (*ec.row)[bound.slot];
     case BoundExpr::Kind::kAggSlot:
       return (*ec.agg_values)[bound.slot];
-    case BoundExpr::Kind::kFallback:
-      return EvalExpr(*bound.fallback, ec);
+    case BoundExpr::Kind::kFallback: {
+      if (bound.children.empty()) return EvalExpr(*bound.fallback, ec);
+      ESP_ASSIGN_OR_RETURN(const Value lhs, EvalBound(bound.children[0], ec));
+      return EvalQuantified(
+          static_cast<const QuantifiedComparisonExpr&>(*bound.fallback), lhs,
+          ec);
+    }
     case BoundExpr::Kind::kNegate: {
       ESP_ASSIGN_OR_RETURN(const Value operand,
                            EvalBound(bound.children[0], ec));
@@ -1024,7 +1193,7 @@ bool TimeOrdered(const Relation& history) {
 StatusOr<Relation> ExecuteInternal(const SelectQuery& query,
                                    const Catalog& catalog, Timestamp now,
                                    const EvalContext* outer,
-                                   QueryExecCache* cache) {
+                                   QueryExecCache* cache, bool decorrelate) {
   stream::TupleArena& arena = stream::TupleArena::Local();
   const bool compile_exprs =
       g_expr_compilation.load(std::memory_order_relaxed);
@@ -1119,7 +1288,8 @@ StatusOr<Relation> ExecuteInternal(const SelectQuery& query,
       // siblings (no LATERAL).
       ESP_ASSIGN_OR_RETURN(
           input.owned,
-          ExecuteInternal(*ref.subquery, catalog, now, outer, cache));
+          ExecuteInternal(*ref.subquery, catalog, now, outer, cache,
+                          decorrelate));
       input.rel = &input.owned;
       input.hi = input.owned.size();
       input.movable = true;
@@ -1200,6 +1370,10 @@ StatusOr<Relation> ExecuteInternal(const SelectQuery& query,
   base.from = &from;
   base.cache = cache;
   base.outer = outer;
+  if (decorrelate && cache != nullptr) {
+    ++scratch.decorrelation.execution;
+    base.decorrelation = &scratch.decorrelation;
+  }
 
   // Columnar fast path: a single stream input sliced in place, with a
   // row-synced columnar mirror and a cached plan. Aggregation shapes the
@@ -1463,13 +1637,21 @@ StatusOr<Relation> ExecuteInternal(const SelectQuery& query,
 
 StatusOr<Relation> ExecuteQuery(const SelectQuery& query,
                                 const Catalog& catalog, Timestamp now) {
-  return ExecuteInternal(query, catalog, now, nullptr, nullptr);
+  return ExecuteInternal(query, catalog, now, nullptr, nullptr, false);
 }
 
 StatusOr<Relation> ExecuteQuery(const SelectQuery& query,
                                 const Catalog& catalog, Timestamp now,
                                 QueryExecCache* cache) {
-  return ExecuteInternal(query, catalog, now, nullptr, cache);
+  return ExecuteInternal(query, catalog, now, nullptr, cache, true);
+}
+
+StatusOr<Relation> internal::ExecuteQuery(const SelectQuery& query,
+                                          const Catalog& catalog,
+                                          Timestamp now, QueryExecCache* cache,
+                                          const ExecOptions& options) {
+  return ExecuteInternal(query, catalog, now, nullptr, cache,
+                         options.decorrelate);
 }
 
 void SetExprCompilationForBenchmarks(bool enabled) {

@@ -64,6 +64,19 @@ class Catalog {
   std::vector<Entry> streams_;
 };
 
+/// \brief How a standing query's expression subqueries (ALL/ANY, IN,
+/// EXISTS, scalar) executed, as counted by its plan cache.
+struct SubqueryPathStats {
+  /// Subquery bodies run once per outer row or group (the nested path).
+  int64_t nested_runs = 0;
+  /// One-shot runs of a decorrelated subquery, each serving a whole outer
+  /// execution (cql/decorrelate.h).
+  int64_t decorrelated_runs = 0;
+  /// Why a subquery first ran nested although decorrelation was enabled;
+  /// empty when none has.
+  std::string first_decline;
+};
+
 /// \brief Materializes the window contents of `history` at time `now`.
 /// History must be in non-decreasing timestamp order (required for kRows).
 stream::Relation ApplyWindow(const stream::Relation& history,
@@ -84,7 +97,10 @@ StatusOr<stream::Relation> ExecuteQuery(const SelectQuery& query,
 /// (see expr_eval.h) memoizes schema inference and expression compilation
 /// across ticks, keyed by AST node; it must not outlive the query's AST and
 /// must always be used with catalogs presenting the same stream layouts.
-/// Pass nullptr for one-shot behavior.
+/// With a cache, equi-correlated subqueries the admission analysis accepts
+/// run once per outer execution instead of once per outer row or group
+/// (cql/decorrelate.h); results and errors are unchanged. Pass nullptr for
+/// one-shot behavior, which always runs subqueries nested.
 StatusOr<stream::Relation> ExecuteQuery(const SelectQuery& query,
                                         const Catalog& catalog, Timestamp now,
                                         QueryExecCache* cache);

@@ -15,6 +15,7 @@
 #include "common/status.h"
 #include "common/time.h"
 #include "cql/ast.h"
+#include "cql/decorrelate.h"
 #include "cql/evaluator.h"
 #include "cql/scalar_function.h"
 #include "stream/aggregate.h"
@@ -45,6 +46,8 @@ struct FromContext {
 
 using Row = std::vector<stream::Value>;
 
+struct DecorrelationScratch;
+
 /// Everything an expression needs to evaluate: the current row (or the
 /// representative row of the current group), the group's rows when in
 /// grouped evaluation, and the enclosing query's context for correlated
@@ -63,6 +66,9 @@ struct EvalContext {
   QueryExecCache* cache = nullptr;
   /// Aggregator reuse pool for the current grouped evaluation (may be null).
   AggScratchMap* agg_scratch = nullptr;
+  /// Partitions of this query's decorrelated subqueries; null when
+  /// subqueries must run nested (no plan cache, or ExecOptions says so).
+  DecorrelationScratch* decorrelation = nullptr;
   const EvalContext* outer = nullptr;
 };
 
@@ -70,7 +76,8 @@ struct BoundExpr {
   enum class Kind {
     kConst,      // Folded constant.
     kSlot,       // Column bound to an absolute index into the joined row.
-    kFallback,   // Interpretive escape hatch: delegates to EvalExpr.
+    kFallback,   // Interpretive escape hatch: delegates to EvalExpr. For a
+                 // quantified comparison, children[0] is the compiled lhs.
     kNot,
     kNegate,
     kArith,      // bin_op in {Add, Subtract, Multiply, Divide, Modulo}.
@@ -95,6 +102,33 @@ struct BoundExpr {
   const FunctionCallExpr* agg_call = nullptr;  // kAggregate.
   const Expr* fallback = nullptr;              // kFallback.
   std::vector<BoundExpr> children;
+};
+
+/// One admitted subquery's one-shot result for the current outer execution,
+/// hash-partitioned on the correlation key (decorrelate.h). The key index and
+/// the partitions persist across executions, generation-stamped like the
+/// group slots, so the steady state allocates nothing.
+struct SubqueryPartitions {
+  struct Partition {
+    std::vector<stream::Value> values;  // The output column, when single.
+    size_t rows = 0;
+    uint64_t gen = 0;  // Build that last filled this partition.
+  };
+  const SelectQuery* subquery = nullptr;  // The original (nested) subquery.
+  const SubqueryRewrite* rewrite = nullptr;
+  BoundExpr outer_key;  // rewrite->outer_key bound to the outer row.
+  uint64_t execution = 0;  // Outer execution the partitions belong to.
+  bool ready = false;      // False: this execution runs the subquery nested.
+  uint64_t gen = 0;
+  std::unordered_map<stream::Value, size_t, stream::ValueHash> index;
+  std::vector<Partition> partitions;
+};
+
+/// Decorrelation state of one query plan: `execution` advances once per
+/// execution of the plan, which invalidates every subquery's partitions.
+struct DecorrelationScratch {
+  uint64_t execution = 0;
+  std::vector<SubqueryPartitions> subqueries;
 };
 
 /// Binds `expr` against the innermost FROM layout. Anything that cannot be
@@ -268,6 +302,7 @@ struct PreparedQuery {
     Row key_scratch;
     uint64_t gen = 0;
     AggScratchMap agg_scratch;
+    DecorrelationScratch decorrelation;
   };
   ExecScratch& EnsureScratch() {
     if (scratch == nullptr) scratch = std::make_unique<ExecScratch>();
@@ -281,6 +316,29 @@ struct PreparedQuery {
 /// same streams every tick, so this holds; a mismatch bypasses the cache.
 bool LayoutMatches(const PreparedQuery& prep, const FromContext& from);
 
+/// Admission verdict for one expression subquery, planned on its first
+/// evaluation: the rewrite, or why it runs nested. `outer_frames` and
+/// `inner_schema` record the layout it was planned against; executions that
+/// present another layout run nested.
+struct SubqueryPlan {
+  StatusOr<SubqueryRewrite> rewrite;
+  std::vector<AnalysisScope::Frame> outer_frames;
+  stream::SchemaRef inner_schema;
+};
+
+/// Per-call execution options, for tests and benchmarks that compare paths.
+struct ExecOptions {
+  /// Run admitted equi-correlated subqueries once per outer execution
+  /// (decorrelate.h). False runs every subquery nested.
+  bool decorrelate = true;
+};
+
+/// ExecuteQuery with explicit options.
+StatusOr<stream::Relation> ExecuteQuery(const SelectQuery& query,
+                                        const Catalog& catalog, Timestamp now,
+                                        QueryExecCache* cache,
+                                        const ExecOptions& options);
+
 }  // namespace esp::cql::internal
 
 namespace esp::cql {
@@ -293,6 +351,10 @@ namespace esp::cql {
 /// Keys are AST node addresses, valid because the query owns its AST; the
 /// cache must not outlive it. Not thread-safe: a standing query evaluates
 /// from one thread at a time.
+///
+/// It also owns each expression subquery's decorrelation plan. A rewritten
+/// subquery AST lives as long as the cache, so its own prepared plan can be
+/// keyed here like any other.
 class QueryExecCache {
  public:
   internal::PreparedQuery* Find(const SelectQuery* query) {
@@ -306,10 +368,27 @@ class QueryExecCache {
     return slot.get();
   }
 
+  internal::SubqueryPlan* FindSubqueryPlan(const SelectQuery* subquery) {
+    auto it = subquery_plans_.find(subquery);
+    return it == subquery_plans_.end() ? nullptr : it->second.get();
+  }
+  internal::SubqueryPlan* InsertSubqueryPlan(const SelectQuery* subquery,
+                                             internal::SubqueryPlan plan) {
+    auto& slot = subquery_plans_[subquery];
+    slot = std::make_unique<internal::SubqueryPlan>(std::move(plan));
+    return slot.get();
+  }
+
+  SubqueryPathStats& subquery_paths() { return subquery_paths_; }
+
  private:
   std::unordered_map<const SelectQuery*,
                      std::unique_ptr<internal::PreparedQuery>>
       prepared_;
+  std::unordered_map<const SelectQuery*,
+                     std::unique_ptr<internal::SubqueryPlan>>
+      subquery_plans_;
+  SubqueryPathStats subquery_paths_;
 };
 
 }  // namespace esp::cql

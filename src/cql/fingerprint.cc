@@ -177,18 +177,6 @@ class Renderer {
     return out + ")";
   }
 
-  static void FlattenAnd(const Expr& expr, std::vector<const Expr*>& out) {
-    if (expr.kind() == ExprKind::kBinary) {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      if (binary.op == BinaryOp::kAnd) {
-        FlattenAnd(*binary.lhs, out);
-        FlattenAnd(*binary.rhs, out);
-        return;
-      }
-    }
-    out.push_back(&expr);
-  }
-
   /// Static type of a leaf operand (literal or column resolvable in
   /// `frame`); nullopt for anything that could fail or is not a leaf.
   static std::optional<DataType> SafeOperandType(const Expr& expr,

@@ -64,7 +64,10 @@ StatusOr<std::unique_ptr<IngestClient>> IngestClient::Connect(
     return Status::InvalidArgument("client_id must be non-empty");
   }
   std::unique_ptr<IngestClient> client(new IngestClient(std::move(options)));
-  ESP_RETURN_IF_ERROR(client->EstablishAndResume());
+  // The first handshake runs under the same retry loop as every reconnect:
+  // a return-path fault on the very first Welcome costs a backoff, not the
+  // client.
+  ESP_RETURN_IF_ERROR(client->WithRetries([] { return Status::OK(); }));
   return client;
 }
 

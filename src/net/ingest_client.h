@@ -65,7 +65,10 @@ IngestClientOptions MakeIngestClientOptions(
 /// matter where the connection tore. Not thread-safe; one owner drives it.
 class IngestClient {
  public:
-  /// Connects and completes the handshake.
+  /// Connects and completes the handshake. Connection-level failures of
+  /// the first handshake (refused connect, torn or corrupted Welcome) are
+  /// retried with the same backoff and `max_reconnect_attempts` budget as
+  /// every later reconnect.
   static StatusOr<std::unique_ptr<IngestClient>> Connect(
       IngestClientOptions options);
 

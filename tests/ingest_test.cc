@@ -624,6 +624,42 @@ TEST(IngestTest, ReturnPathFaultsCostOnlyReconnectsNeverExactlyOnce) {
   EXPECT_EQ(stats.ticks_applied, static_cast<int64_t>(steps.size()));
 }
 
+TEST(IngestTest, CorruptedFirstWelcomeIsRetriedByConnect) {
+  // Connect used to attempt its handshake exactly once, so a return-path
+  // fault on the very first Welcome was fatal ("inbound stream corrupted:
+  // frame CRC mismatch"). With seed 2 the proxy's server->client direction
+  // flips a payload byte of the first chunk it forwards: that Welcome.
+  const std::vector<Step> steps = ShelfScript(4);
+  const std::vector<std::string> golden = GoldenRun(steps);
+
+  ShelfServer s = StartShelfServer(IngestServerOptions{});
+
+  FaultProxyOptions proxy_options;
+  proxy_options.target_port = s.server->port();
+  proxy_options.server_to_client.seed = 2;
+  proxy_options.server_to_client.p_corrupt = 0.5;
+  auto proxy = FaultProxy::Start(std::move(proxy_options));
+  ASSERT_TRUE(proxy.ok()) << proxy.status();
+
+  IngestClientOptions copts = ClientOptions((*proxy)->port(), "first-welcome");
+  copts.max_reconnect_attempts = 256;
+  copts.read_timeout = Duration::Millis(500);
+  auto client = IngestClient::Connect(std::move(copts));
+  ASSERT_TRUE(client.ok()) << client.status();
+  const FaultProxyStats at_connect = (*proxy)->StatsSnapshot();
+  EXPECT_GE(at_connect.server_to_client.corruptions, 1);
+  EXPECT_GE(at_connect.connections, 2);  // The handshake was retried.
+
+  for (const Step& step : steps) {
+    ASSERT_TRUE((*client)->PushBatch("rfid", step.pushes).ok());
+    ASSERT_TRUE((*client)->PushTick(step.tick).ok());
+  }
+  ASSERT_TRUE((*client)->Close().ok());
+  (*proxy)->Stop();
+  s.server->Stop();
+  EXPECT_EQ(s.fingerprints, golden);
+}
+
 TEST(IngestTest, JournaledIngestReplaysToGoldenEquivalence) {
   // A RecoverySink journals every networked reading before it is applied,
   // so a crashed server session replays — from the journal alone — to the
