@@ -107,7 +107,9 @@ class ClusterCoordinator {
   Status AddProximityGroup(core::ProximityGroup group);
   Status AddPipeline(core::DeviceTypePipeline pipeline);
   Status SetHealthPolicy(core::HealthPolicy policy);
-  void SetVirtualize(std::unique_ptr<core::Stage> stage);
+  void SetVirtualize(std::unique_ptr<core::Stage> stage) {
+    core_.SetVirtualize(std::move(stage));
+  }
 
   /// Spawns and connects every worker (fresh storage, epoch 1). The
   /// supervisor must outlive the coordinator.
@@ -115,7 +117,7 @@ class ClusterCoordinator {
 
   /// Routes one reading to its proximity group's worker (buffered; flushed
   /// as atomic batches at the next Tick). Validates type, schema, and
-  /// receptor membership up front.
+  /// receptor membership up front, with EspProcessor's verdicts.
   Status Push(const std::string& device_type, stream::Tuple raw);
 
   /// Flushes routed readings, ticks every worker, awaits and reassembles
@@ -146,6 +148,13 @@ class ClusterCoordinator {
 
   const ClusterStats& stats() const { return stats_; }
 
+  /// The central Arbitrate / Virtualize error tallies, by
+  /// "<type>/<Kind>[owner]" label (ClusterStats::stage_errors is their
+  /// sum). Workers tally their local stages themselves.
+  const std::map<std::string, core::StageErrorStat>& stage_errors() const {
+    return core_.stage_errors();
+  }
+
  private:
   struct PendingReading {
     std::string device_type;  // Canonical (pipeline) spelling.
@@ -175,18 +184,6 @@ class ClusterCoordinator {
     WorkerLink() : decoder(net::kDefaultMaxFrameBytes) {}
   };
 
-  /// Per-type wrapper state, mirroring ShardedEspProcessor::TypeRuntime.
-  struct TypeRuntime {
-    core::DeviceTypePipeline config;
-    /// Global registration order of this type's groups — the reassembly
-    /// order that reproduces the monolith's group-ordered Union.
-    std::vector<std::string> group_order;
-    std::unique_ptr<core::Stage> arbitrate;  // May be null.
-    stream::SchemaRef group_output_schema;
-    stream::SchemaRef output_schema;
-  };
-
-  StatusOr<TypeRuntime*> FindType(const std::string& device_type);
   uint32_t AssignSlot(const std::string& device_type,
                       const std::string& group_id) const;
   WorkerSpawnSpec MakeSpawnSpec(uint32_t slot, uint64_t epoch,
@@ -222,11 +219,6 @@ class ClusterCoordinator {
   Status DrainLink(WorkerLink& link,
                    const std::optional<Timestamp>& awaiting);
 
-  StatusOr<stream::Relation> RunStageGuarded(core::Stage* stage,
-                                             const std::string& input_name,
-                                             stream::Relation input,
-                                             Timestamp now);
-
   ClusterOptions options_;
   WorkerSupervisor* supervisor_ = nullptr;
   MembershipTable membership_;
@@ -234,14 +226,12 @@ class ClusterCoordinator {
 
   // Deployment configuration (pre-Start).
   std::vector<core::ProximityGroup> groups_;
-  core::HealthPolicy policy_;
-  std::unique_ptr<core::Stage> virtualize_;
-  std::vector<TypeRuntime> types_;
-
-  /// Arbitrate-stripped, never-ticked local twin of the deployment: the
-  /// schema oracle for reading schemas (Push validation) and group output
-  /// schemas (partial decoding), never fed any data.
-  std::unique_ptr<core::EspProcessor> oracle_;
+  /// Type registry, Push validation, and the central Arbitrate/Virtualize
+  /// tail with its error isolation.
+  core::EngineCore core_;
+  /// Per type (core_'s order): the global registration order of its groups
+  /// — the reassembly order that reproduces the monolith's Union.
+  std::vector<std::vector<std::string>> group_order_;
 
   /// receptor -> group id, per device type (keys are "type\0receptor").
   std::map<std::string, std::string> receptor_group_;

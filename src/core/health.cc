@@ -28,6 +28,15 @@ const char* ReceptorStateToString(ReceptorState state) {
   return "?";
 }
 
+void PipelineHealth::AddReceptor(const ReceptorHealth& r) {
+  receptors.push_back(r);
+  total_late_admitted += r.late_admitted;
+  total_dropped_late += r.dropped_late;
+  total_dropped_quarantined += r.dropped_quarantined;
+  if (r.state == ReceptorState::kQuarantined) ++quarantined_now;
+  if (r.state == ReceptorState::kSuspect) ++suspect_now;
+}
+
 std::string PipelineHealth::ToString() const {
   std::string out;
   out += StrFormat(

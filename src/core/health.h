@@ -222,6 +222,9 @@ struct PipelineHealth {
   size_t quarantined_now = 0;
   size_t suspect_now = 0;
 
+  /// Appends one receptor's health and adds it to the totals above.
+  void AddReceptor(const ReceptorHealth& r);
+
   /// Human-readable multi-line report (used by the chaos benches).
   std::string ToString() const;
 };

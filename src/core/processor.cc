@@ -21,50 +21,14 @@ std::string EspProcessor::QuarantineGroupId(const std::string& device_type) {
 }
 
 Status EspProcessor::AddProximityGroup(ProximityGroup group) {
-  if (started_) return Status::Internal("processor already started");
+  if (core_.started()) return Status::Internal("processor already started");
   return granules_.AddGroup(std::move(group));
 }
 
-Status EspProcessor::SetHealthPolicy(HealthPolicy policy) {
-  if (started_) return Status::Internal("processor already started");
-  if (policy.liveness_enabled() &&
-      policy.staleness_threshold <= policy.lateness_horizon) {
-    return Status::InvalidArgument(
-        "staleness threshold must exceed the lateness horizon (admitted-late "
-        "readings make live receptors look up to one horizon stale)");
-  }
-  policy_ = policy;
-  return Status::OK();
-}
-
 Status EspProcessor::AddPipeline(DeviceTypePipeline pipeline) {
-  if (started_) return Status::Internal("processor already started");
-  if (pipeline.reading_schema == nullptr) {
-    return Status::InvalidArgument("pipeline for '" + pipeline.device_type +
-                                   "' has no reading schema");
-  }
-  if (!pipeline.reading_schema->Contains(pipeline.receptor_id_column)) {
-    return Status::InvalidArgument(
-        "receptor id column '" + pipeline.receptor_id_column +
-        "' not in reading schema for '" + pipeline.device_type + "'");
-  }
-  for (const TypeRuntime& type : types_) {
-    if (StrEqualsIgnoreCase(type.config.device_type, pipeline.device_type)) {
-      return Status::AlreadyExists("pipeline for '" + pipeline.device_type +
-                                   "' already registered");
-    }
-  }
-  if (pipeline.virtualize_input.empty()) {
-    pipeline.virtualize_input = pipeline.device_type + "_input";
-  }
-  TypeRuntime runtime;
-  runtime.config = std::move(pipeline);
-  types_.push_back(std::move(runtime));
+  ESP_RETURN_IF_ERROR(core_.AddPipeline(std::move(pipeline)));
+  types_.emplace_back();
   return Status::OK();
-}
-
-void EspProcessor::SetVirtualize(std::unique_ptr<Stage> stage) {
-  virtualize_ = std::move(stage);
 }
 
 StatusOr<SchemaRef> EspProcessor::AugmentSchema(const SchemaRef& schema) {
@@ -75,11 +39,11 @@ StatusOr<SchemaRef> EspProcessor::AugmentSchema(const SchemaRef& schema) {
 }
 
 Status EspProcessor::Start() {
-  if (started_) return Status::Internal("processor already started");
+  if (core_.started()) return Status::Internal("processor already started");
 
-  cql::SchemaCatalog virtualize_inputs;
-  for (TypeRuntime& type : types_) {
-    const DeviceTypePipeline& config = type.config;
+  for (size_t i = 0; i < types_.size(); ++i) {
+    TypeRuntime& type = types_[i];
+    const DeviceTypePipeline& config = core_.config(i);
     const auto groups = granules_.GroupsOfType(config.device_type);
     if (groups.empty()) {
       return Status::InvalidArgument("no proximity groups for device type '" +
@@ -95,7 +59,7 @@ Status EspProcessor::Start() {
         chain.granule_id = group->granule.id;
         chain.home_group_id = group->id;
         chain.health = std::make_unique<ReceptorHealthTracker>(
-            receptor_id, config.device_type, &policy_);
+            receptor_id, config.device_type, &core_.policy());
         SchemaRef current = config.reading_schema;
         for (const StageFactory& factory : config.point) {
           ESP_ASSIGN_OR_RETURN(std::unique_ptr<Stage> stage, factory());
@@ -142,130 +106,41 @@ Status EspProcessor::Start() {
     }
 
     // Arbitrate across groups.
-    SchemaRef type_out = group_out;
-    if (config.arbitrate != nullptr) {
-      ESP_ASSIGN_OR_RETURN(type.arbitrate, config.arbitrate());
-      cql::SchemaCatalog catalog;
-      catalog.AddStream(StageInputName(StageKind::kArbitrate), group_out);
-      ESP_RETURN_IF_ERROR(type.arbitrate->Bind(catalog));
-      type_out = type.arbitrate->output_schema();
-    }
-    type.output_schema = type_out;
-    virtualize_inputs.AddStream(config.virtualize_input, type_out);
+    ESP_RETURN_IF_ERROR(core_.BindArbitrate(i, group_out));
   }
-
-  if (virtualize_ != nullptr) {
-    ESP_RETURN_IF_ERROR(virtualize_->Bind(virtualize_inputs));
-  }
-  started_ = true;
-  return Status::OK();
-}
-
-StatusOr<EspProcessor::TypeRuntime*> EspProcessor::FindType(
-    const std::string& device_type) {
-  for (TypeRuntime& type : types_) {
-    if (StrEqualsIgnoreCase(type.config.device_type, device_type)) {
-      return &type;
-    }
-  }
-  return Status::NotFound("no pipeline for device type '" + device_type +
-                          "'");
+  return core_.BindVirtualize();
 }
 
 Status EspProcessor::Push(const std::string& device_type, Tuple raw) {
-  if (!started_) return Status::Internal("processor not started");
-  ESP_ASSIGN_OR_RETURN(TypeRuntime * type, FindType(device_type));
-  // Pointer identity short-circuits the field-by-field comparison on the
-  // common path where the pusher holds the pipeline's own SchemaRef.
-  if (raw.schema() == nullptr ||
-      (raw.schema().get() != type->config.reading_schema.get() &&
-       !raw.schema()->Equals(*type->config.reading_schema))) {
-    return Status::TypeError("raw reading schema mismatch for type '" +
-                             device_type + "'");
-  }
-  ESP_ASSIGN_OR_RETURN(const Value receptor,
-                       raw.Get(type->config.receptor_id_column));
-  if (receptor.type() != stream::DataType::kString) {
-    return Status::TypeError("receptor id column must be a string");
-  }
-  for (ReceptorChain& chain : type->receptors) {
-    if (!StrEqualsIgnoreCase(chain.receptor_id, receptor.string_value())) {
-      continue;
-    }
+  if (!core_.started()) return Status::Internal("processor not started");
+  ESP_ASSIGN_OR_RETURN(const EngineCore::Reading reading,
+                       core_.ValidateReading(device_type, raw));
+  const std::string& receptor = reading.receptor.string_value();
+  for (ReceptorChain& chain : types_[reading.type].receptors) {
+    if (!StrEqualsIgnoreCase(chain.receptor_id, receptor)) continue;
     // Validate the (previous tick, now] contract instead of trusting it:
     // anything at or before the previous tick's release watermark can never
     // be delivered in order again and is dropped loudly; later-but-within-
     // horizon readings go to the reorder buffer.
-    if (has_ticked_) {
-      const Timestamp watermark = last_tick_ - policy_.lateness_horizon;
+    if (core_.has_ticked()) {
+      const Duration horizon = core_.policy().lateness_horizon;
+      const Timestamp watermark = core_.last_tick() - horizon;
       if (raw.timestamp() <= watermark) {
         chain.health->RecordDroppedLate(1);
         return Status::OutOfRange(
             "reading for receptor '" + chain.receptor_id + "' at " +
             raw.timestamp().ToString() + " is behind the release watermark " +
             watermark.ToString() + " (lateness horizon " +
-            policy_.lateness_horizon.ToString() + ")");
+            horizon.ToString() + ")");
       }
-      if (raw.timestamp() <= last_tick_) chain.health->RecordLateAdmitted(1);
+      if (raw.timestamp() <= core_.last_tick()) {
+        chain.health->RecordLateAdmitted(1);
+      }
     }
     chain.pending.push_back(std::move(raw));
     return Status::OK();
   }
-  return Status::NotFound("receptor '" + receptor.string_value() +
-                          "' of type '" + device_type +
-                          "' is in no proximity group");
-}
-
-void EspProcessor::RecordStageError(Stage* stage,
-                                    const std::string& device_type,
-                                    const std::string& owner_id,
-                                    const Status& status) {
-  const std::string label = device_type + "/" +
-                            StageKindToString(stage->kind()) + "[" + owner_id +
-                            "]";
-  StageErrorStat& stat = stage_errors_[label];
-  stat.stage = label;
-  ++stat.errors;
-  stat.last_message = status.ToString();
-}
-
-StatusOr<Relation> EspProcessor::RunStageGuarded(
-    Stage* stage, const std::string& input_name, Relation input, Timestamp now,
-    const std::string& device_type, const std::string& owner_id,
-    ReceptorChain* chain) {
-  stream::TupleArena& arena = stream::TupleArena::Local();
-  auto run = [&]() -> StatusOr<Relation> {
-    for (const Tuple& tuple : input.tuples()) {
-      // Hand the stage an arena-backed copy: stage buffers (query histories,
-      // windowed buffers) release evicted rows back to the arena, closing
-      // the per-tick allocation loop. `input` stays intact for the degraded
-      // pass-through below.
-      std::vector<Value> values = arena.Acquire(tuple.num_fields());
-      values.insert(values.end(), tuple.values().begin(),
-                    tuple.values().end());
-      ESP_RETURN_IF_ERROR(stage->Push(
-          input_name,
-          Tuple(tuple.schema(), std::move(values), tuple.timestamp())));
-    }
-    return stage->Evaluate(now);
-  };
-  StatusOr<Relation> out = run();
-  if (out.ok()) {
-    arena.Recycle(std::move(input));
-    return out;
-  }
-  if (policy_.stage_error_policy == StageErrorPolicy::kFailFast) {
-    return out.status();
-  }
-  RecordStageError(stage, device_type, owner_id, out.status());
-  if (chain != nullptr) chain->health->RecordError(out.status());
-  // Degrade: pass the input through when it already has the stage's output
-  // shape; otherwise the stage contributes nothing this tick.
-  if (input.schema() != nullptr && stage->output_schema() != nullptr &&
-      input.schema()->Equals(*stage->output_schema())) {
-    return input;
-  }
-  return Relation(stage->output_schema());
+  return EngineCore::UnknownReceptor(device_type, receptor);
 }
 
 Status EspProcessor::EnsureQuarantineGroup(const std::string& device_type) {
@@ -280,20 +155,18 @@ Status EspProcessor::EnsureQuarantineGroup(const std::string& device_type) {
 }
 
 StatusOr<EspProcessor::TickResult> EspProcessor::Tick(Timestamp now) {
-  if (!started_) return Status::Internal("processor not started");
-  if (has_ticked_ && now < last_tick_) {
-    return Status::InvalidArgument("tick times must be non-decreasing");
-  }
+  if (!core_.started()) return Status::Internal("processor not started");
+  ESP_RETURN_IF_ERROR(core_.AdvanceClock(now));
   // Release watermark: everything at or before it flows into the stages
   // this tick; later readings stay in the reorder buffers so late arrivals
   // within the horizon can still be slotted in ahead of them. With the
   // default zero horizon the watermark is `now` and nothing is delayed.
-  const Timestamp watermark = now - policy_.lateness_horizon;
-  last_tick_ = now;
-  has_ticked_ = true;
+  const Timestamp watermark = now - core_.policy().lateness_horizon;
 
   TickResult result;
-  for (TypeRuntime& type : types_) {
+  for (size_t i = 0; i < types_.size(); ++i) {
+    TypeRuntime& type = types_[i];
+    const DeviceTypePipeline& config = core_.config(i);
     // --- Per-receptor: Point chain, then Smooth. ---
     // Collected per group id for the Merge step.
     std::vector<Relation> group_streams(type.groups.size(),
@@ -321,13 +194,13 @@ StatusOr<EspProcessor::TickResult> EspProcessor::Tick(Timestamp now) {
       using Transition = ReceptorHealthTracker::Transition;
       const Transition transition = chain.health->Observe(now, data_time);
       if (transition == Transition::kQuarantine) {
-        ESP_RETURN_IF_ERROR(EnsureQuarantineGroup(type.config.device_type));
+        ESP_RETURN_IF_ERROR(EnsureQuarantineGroup(config.device_type));
         ESP_RETURN_IF_ERROR(granules_.MoveReceptor(
-            type.config.device_type, chain.receptor_id,
-            QuarantineGroupId(type.config.device_type)));
+            config.device_type, chain.receptor_id,
+            QuarantineGroupId(config.device_type)));
       } else if (transition == Transition::kRevive) {
         ESP_RETURN_IF_ERROR(granules_.MoveReceptor(
-            type.config.device_type, chain.receptor_id, chain.home_group_id));
+            config.device_type, chain.receptor_id, chain.home_group_id));
       }
       if (chain.health->state() == ReceptorState::kQuarantined) {
         // Degraded mode: the receptor is out of its proximity group; its
@@ -339,23 +212,22 @@ StatusOr<EspProcessor::TickResult> EspProcessor::Tick(Timestamp now) {
       }
       chain.health->RecordDelivered(static_cast<int64_t>(released.size()));
 
-      Relation current(type.config.reading_schema);
+      Relation current(config.reading_schema);
       for (Tuple& tuple : released) current.Add(std::move(tuple));
 
       for (std::unique_ptr<Stage>& stage : chain.point) {
         ESP_ASSIGN_OR_RETURN(
-            current,
-            RunStageGuarded(stage.get(), StageInputName(StageKind::kPoint),
-                            std::move(current), now, type.config.device_type,
-                            chain.receptor_id, &chain));
+            current, core_.RunStageGuarded(
+                         stage.get(), StageInputName(StageKind::kPoint),
+                         std::move(current), now, config.device_type,
+                         chain.receptor_id, chain.health.get()));
       }
       if (chain.smooth != nullptr) {
         ESP_ASSIGN_OR_RETURN(
-            current, RunStageGuarded(chain.smooth.get(),
-                                     StageInputName(StageKind::kSmooth),
-                                     std::move(current), now,
-                                     type.config.device_type,
-                                     chain.receptor_id, &chain));
+            current, core_.RunStageGuarded(
+                         chain.smooth.get(), StageInputName(StageKind::kSmooth),
+                         std::move(current), now, config.device_type,
+                         chain.receptor_id, chain.health.get()));
       }
 
       // Stamp the spatial granule (footnote 2) and route to the receptor's
@@ -363,7 +235,7 @@ StatusOr<EspProcessor::TickResult> EspProcessor::Tick(Timestamp now) {
       // MoveReceptor() remappings take effect between ticks.
       ESP_ASSIGN_OR_RETURN(
           const ProximityGroup* group_of,
-          granules_.GroupOf(type.config.device_type, chain.receptor_id));
+          granules_.GroupOf(config.device_type, chain.receptor_id));
       size_t group_index = type.groups.size();
       for (size_t g = 0; g < type.groups.size(); ++g) {
         if (StrEqualsIgnoreCase(type.groups[g].group_id, group_of->id)) {
@@ -411,10 +283,10 @@ StatusOr<EspProcessor::TickResult> EspProcessor::Tick(Timestamp now) {
       }
       ESP_ASSIGN_OR_RETURN(
           Relation out,
-          RunStageGuarded(type.groups[g].merge.get(),
-                          StageInputName(StageKind::kMerge), std::move(input),
-                          now, type.config.device_type, type.groups[g].group_id,
-                          nullptr));
+          core_.RunStageGuarded(type.groups[g].merge.get(),
+                                StageInputName(StageKind::kMerge),
+                                std::move(input), now, config.device_type,
+                                type.groups[g].group_id));
       merged.push_back(std::move(out));
     }
 
@@ -425,73 +297,20 @@ StatusOr<EspProcessor::TickResult> EspProcessor::Tick(Timestamp now) {
     if (export_group_partials_) {
       for (size_t g = 0; g < type.groups.size(); ++g) {
         result.group_partials.push_back(GroupPartial{
-            type.config.device_type, type.groups[g].group_id, merged[g]});
+            config.device_type, type.groups[g].group_id, merged[g]});
       }
     }
 
-    // --- Arbitrate across groups. ---
-    Relation type_out;
-    if (type.arbitrate != nullptr) {
-      ESP_ASSIGN_OR_RETURN(Relation united, stream::Union(std::move(merged)));
-      ESP_ASSIGN_OR_RETURN(
-          type_out, RunStageGuarded(type.arbitrate.get(),
-                                    StageInputName(StageKind::kArbitrate),
-                                    std::move(united), now,
-                                    type.config.device_type,
-                                    type.config.device_type, nullptr));
-    } else {
-      ESP_ASSIGN_OR_RETURN(type_out, stream::Union(std::move(merged)));
-    }
-
-    // --- Feed Virtualize. ---
-    if (virtualize_ != nullptr) {
-      for (const Tuple& tuple : type_out.tuples()) {
-        const Status pushed =
-            virtualize_->Push(type.config.virtualize_input, tuple);
-        if (!pushed.ok()) {
-          if (policy_.stage_error_policy == StageErrorPolicy::kFailFast) {
-            return pushed;
-          }
-          RecordStageError(virtualize_.get(), type.config.device_type,
-                           type.config.virtualize_input, pushed);
-          break;  // Skip the rest of this type's feed this tick.
-        }
-      }
-    }
-    result.per_type.emplace_back(type.config.device_type,
-                                 std::move(type_out));
+    // --- Arbitrate across groups, then feed Virtualize. ---
+    ESP_ASSIGN_OR_RETURN(Relation united, stream::Union(std::move(merged)));
+    ESP_RETURN_IF_ERROR(core_.RunTypeTail(i, std::move(united), now, result));
   }
-
-  if (queries_.active()) {
-    std::vector<std::pair<std::string, const Relation*>> inputs;
-    inputs.reserve(types_.size());
-    for (size_t i = 0; i < types_.size(); ++i) {
-      inputs.emplace_back(types_[i].config.virtualize_input,
-                          &result.per_type[i].second);
-    }
-    ESP_ASSIGN_OR_RETURN(result.query_results,
-                         queries_.FeedAndTick(inputs, now));
-  }
-
-  if (virtualize_ != nullptr) {
-    StatusOr<Relation> out = virtualize_->Evaluate(now);
-    if (out.ok()) {
-      result.virtualized = std::move(out).value();
-    } else if (policy_.stage_error_policy == StageErrorPolicy::kFailFast) {
-      return out.status();
-    } else {
-      RecordStageError(virtualize_.get(), "virtualize", "virtualize",
-                       out.status());
-      result.virtualized = Relation(virtualize_->output_schema());
-    }
-  }
+  ESP_RETURN_IF_ERROR(core_.FinishTick(now, result));
   return result;
 }
 
 PipelineHealth EspProcessor::Health() const {
-  PipelineHealth health;
-  health.recovery = recovery_stats_;
-  health.queries = queries_.Stats();
+  PipelineHealth health = core_.Health();
   health.columnar.enabled = stream::ColumnarEnabled();
   health.columnar.avx2 = stream::simd::Avx2Available();
   {
@@ -500,42 +319,16 @@ PipelineHealth EspProcessor::Health() const {
     health.columnar.scalar_batches = kernels.scalar_batches;
     health.columnar.guard_fallbacks = kernels.guard_fallbacks;
   }
-  {
-    std::lock_guard<std::mutex> lock(ingest_source_mu_);
-    health.ingest = ingest_source_ ? ingest_source_() : ingest_stats_;
-  }
   for (const TypeRuntime& type : types_) {
     for (const ReceptorChain& chain : type.receptors) {
-      if (chain.health == nullptr) continue;
-      const ReceptorHealth& r = chain.health->health();
-      health.receptors.push_back(r);
-      health.total_late_admitted += r.late_admitted;
-      health.total_dropped_late += r.dropped_late;
-      health.total_dropped_quarantined += r.dropped_quarantined;
-      if (r.state == ReceptorState::kQuarantined) ++health.quarantined_now;
-      if (r.state == ReceptorState::kSuspect) ++health.suspect_now;
+      if (chain.health != nullptr) health.AddReceptor(chain.health->health());
     }
-  }
-  for (const auto& [label, stat] : stage_errors_) {
-    health.stage_errors.push_back(stat);
-    health.total_stage_errors += stat.errors;
   }
   return health;
 }
 
-StatusOr<SchemaRef> EspProcessor::TypeReadingSchema(
-    const std::string& device_type) const {
-  for (const TypeRuntime& type : types_) {
-    if (StrEqualsIgnoreCase(type.config.device_type, device_type)) {
-      return type.config.reading_schema;
-    }
-  }
-  return Status::NotFound("no pipeline for device type '" + device_type +
-                          "'");
-}
-
 size_t EspProcessor::BufferedTuples() const {
-  size_t total = 0;
+  size_t total = core_.BufferedTuples();
   for (const TypeRuntime& type : types_) {
     for (const ReceptorChain& chain : type.receptors) {
       total += chain.pending.size();
@@ -547,24 +340,23 @@ size_t EspProcessor::BufferedTuples() const {
     for (const GroupChain& group : type.groups) {
       if (group.merge != nullptr) total += group.merge->buffered();
     }
-    if (type.arbitrate != nullptr) total += type.arbitrate->buffered();
   }
-  if (virtualize_ != nullptr) total += virtualize_->buffered();
-  total += queries_.BufferedTuples();
   return total;
 }
 
 Status EspProcessor::Checkpoint(CheckpointWriter& out) const {
-  if (!started_) return Status::Internal("processor not started");
+  if (!core_.started()) return Status::Internal("processor not started");
 
   // --- config: a fingerprint of the deployed topology and policy. Restore
   // refuses a snapshot whose fingerprint differs, since stage state is only
   // meaningful against the exact same configuration.
   ByteWriter config;
   config.WriteU32(static_cast<uint32_t>(types_.size()));
-  for (const TypeRuntime& type : types_) {
-    config.WriteString(type.config.device_type);
-    stream::WriteSchema(config, *type.config.reading_schema);
+  for (size_t i = 0; i < types_.size(); ++i) {
+    const TypeRuntime& type = types_[i];
+    const DeviceTypePipeline& pipeline = core_.config(i);
+    config.WriteString(pipeline.device_type);
+    stream::WriteSchema(config, *pipeline.reading_schema);
     config.WriteU32(static_cast<uint32_t>(type.receptors.size()));
     for (const ReceptorChain& chain : type.receptors) {
       config.WriteString(chain.receptor_id);
@@ -576,30 +368,20 @@ Status EspProcessor::Checkpoint(CheckpointWriter& out) const {
       config.WriteString(group.group_id);
       config.WriteBool(group.merge != nullptr);
     }
-    config.WriteBool(type.arbitrate != nullptr);
-    config.WriteString(type.config.virtualize_input);
+    config.WriteBool(pipeline.arbitrate != nullptr);
+    config.WriteString(pipeline.virtualize_input);
   }
-  config.WriteBool(virtualize_ != nullptr);
-  config.WriteI64(policy_.staleness_threshold.micros());
-  config.WriteI64(policy_.quarantine_timeout.micros());
-  config.WriteI64(policy_.revival_backoff.micros());
-  config.WriteI64(policy_.max_revival_backoff.micros());
-  config.WriteI64(policy_.lateness_horizon.micros());
-  config.WriteU8(static_cast<uint8_t>(policy_.stage_error_policy));
+  core_.WritePolicyFingerprint(config);
   out.AddSection("config", std::move(config));
 
-  // --- clock.
-  ByteWriter clock;
-  clock.WriteBool(has_ticked_);
-  clock.WriteI64(last_tick_.micros());
-  out.AddSection("clock", std::move(clock));
+  core_.CheckpointClock(out);
 
   // --- receptors: reorder buffers, liveness state, and the (possibly
   // dynamically remapped or quarantine-parked) group assignment.
   ByteWriter receptors;
-  for (const TypeRuntime& type : types_) {
-    for (const ReceptorChain& chain : type.receptors) {
-      const auto group = granules_.GroupOf(type.config.device_type,
+  for (size_t i = 0; i < types_.size(); ++i) {
+    for (const ReceptorChain& chain : types_[i].receptors) {
+      const auto group = granules_.GroupOf(core_.config(i).device_type,
                                            chain.receptor_id);
       ESP_RETURN_IF_ERROR(group.status());
       receptors.WriteString((*group)->id);
@@ -615,49 +397,30 @@ Status EspProcessor::Checkpoint(CheckpointWriter& out) const {
   out.AddSection("receptors", std::move(receptors));
 
   // --- stages: every stage's window/model state, in topology order.
-  ByteWriter stages;
-  for (const TypeRuntime& type : types_) {
-    for (const ReceptorChain& chain : type.receptors) {
-      for (const std::unique_ptr<Stage>& stage : chain.point) {
-        ESP_RETURN_IF_ERROR(SaveStageBlob(stage.get(), stages));
-      }
-      if (chain.smooth != nullptr) {
-        ESP_RETURN_IF_ERROR(SaveStageBlob(chain.smooth.get(), stages));
-      }
-    }
-    for (const GroupChain& group : type.groups) {
-      if (group.merge != nullptr) {
-        ESP_RETURN_IF_ERROR(SaveStageBlob(group.merge.get(), stages));
-      }
-    }
-    if (type.arbitrate != nullptr) {
-      ESP_RETURN_IF_ERROR(SaveStageBlob(type.arbitrate.get(), stages));
-    }
-  }
-  if (virtualize_ != nullptr) {
-    ESP_RETURN_IF_ERROR(SaveStageBlob(virtualize_.get(), stages));
-  }
-  out.AddSection("stages", std::move(stages));
+  ESP_RETURN_IF_ERROR(core_.CheckpointStages(
+      out, [this](size_t i, ByteWriter& stages) -> Status {
+        for (const ReceptorChain& chain : types_[i].receptors) {
+          for (const std::unique_ptr<Stage>& stage : chain.point) {
+            ESP_RETURN_IF_ERROR(SaveStageBlob(stage.get(), stages));
+          }
+          if (chain.smooth != nullptr) {
+            ESP_RETURN_IF_ERROR(SaveStageBlob(chain.smooth.get(), stages));
+          }
+        }
+        for (const GroupChain& group : types_[i].groups) {
+          if (group.merge != nullptr) {
+            ESP_RETURN_IF_ERROR(SaveStageBlob(group.merge.get(), stages));
+          }
+        }
+        return Status::OK();
+      }));
 
-  // --- errors: the per-stage isolation tallies.
-  ByteWriter errors;
-  errors.WriteU32(static_cast<uint32_t>(stage_errors_.size()));
-  for (const auto& [label, stat] : stage_errors_) {
-    errors.WriteString(label);
-    errors.WriteI64(stat.errors);
-    errors.WriteString(stat.last_message);
-  }
-  out.AddSection("errors", std::move(errors));
-
-  // --- queries: the multi-tenant serving layer (section absent while
-  // inactive; never part of the config fingerprint — subscriptions are
-  // runtime state).
-  queries_.Checkpoint(out);
+  core_.CheckpointErrorsAndQueries(out);
   return Status::OK();
 }
 
 Status EspProcessor::Restore(const CheckpointReader& in) {
-  if (!started_) return Status::Internal("processor not started");
+  if (!core_.started()) return Status::Internal("processor not started");
 
   // Validate the configuration fingerprint byte-for-byte: same deployment,
   // same policy, or the stage state below is meaningless.
@@ -679,33 +442,26 @@ Status EspProcessor::Restore(const CheckpointReader& in) {
     }
   }
 
-  // --- clock.
-  {
-    ESP_ASSIGN_OR_RETURN(const std::string_view payload, in.Section("clock"));
-    ByteReader r(payload);
-    ESP_ASSIGN_OR_RETURN(has_ticked_, r.ReadBool());
-    ESP_ASSIGN_OR_RETURN(const int64_t micros, r.ReadI64());
-    last_tick_ = Timestamp::Micros(micros);
-  }
+  ESP_RETURN_IF_ERROR(core_.RestoreClock(in));
 
   // --- receptors.
   {
     ESP_ASSIGN_OR_RETURN(const std::string_view payload,
                          in.Section("receptors"));
     ByteReader r(payload);
-    for (TypeRuntime& type : types_) {
-      for (ReceptorChain& chain : type.receptors) {
+    for (size_t i = 0; i < types_.size(); ++i) {
+      const DeviceTypePipeline& config = core_.config(i);
+      for (ReceptorChain& chain : types_[i].receptors) {
         ESP_ASSIGN_OR_RETURN(const std::string group_id, r.ReadString());
         ESP_ASSIGN_OR_RETURN(const ProximityGroup* current,
-                             granules_.GroupOf(type.config.device_type,
+                             granules_.GroupOf(config.device_type,
                                                chain.receptor_id));
         if (!StrEqualsIgnoreCase(current->id, group_id)) {
-          if (group_id == QuarantineGroupId(type.config.device_type)) {
-            ESP_RETURN_IF_ERROR(
-                EnsureQuarantineGroup(type.config.device_type));
+          if (group_id == QuarantineGroupId(config.device_type)) {
+            ESP_RETURN_IF_ERROR(EnsureQuarantineGroup(config.device_type));
           }
           ESP_RETURN_IF_ERROR(granules_.MoveReceptor(
-              type.config.device_type, chain.receptor_id, group_id));
+              config.device_type, chain.receptor_id, group_id));
         }
         ESP_ASSIGN_OR_RETURN(const std::string health_blob, r.ReadString());
         ByteReader health_reader(health_blob);
@@ -717,10 +473,9 @@ Status EspProcessor::Restore(const CheckpointReader& in) {
         ESP_ASSIGN_OR_RETURN(const uint32_t pending, r.ReadU32());
         chain.pending.clear();
         chain.pending.reserve(pending);
-        for (uint32_t i = 0; i < pending; ++i) {
-          ESP_ASSIGN_OR_RETURN(
-              Tuple tuple,
-              stream::ReadTuple(r, type.config.reading_schema));
+        for (uint32_t k = 0; k < pending; ++k) {
+          ESP_ASSIGN_OR_RETURN(Tuple tuple,
+                               stream::ReadTuple(r, config.reading_schema));
           chain.pending.push_back(std::move(tuple));
         }
       }
@@ -730,101 +485,25 @@ Status EspProcessor::Restore(const CheckpointReader& in) {
     }
   }
 
-  // --- stages.
-  {
-    ESP_ASSIGN_OR_RETURN(const std::string_view payload,
-                         in.Section("stages"));
-    ByteReader r(payload);
-    for (TypeRuntime& type : types_) {
-      for (ReceptorChain& chain : type.receptors) {
-        for (std::unique_ptr<Stage>& stage : chain.point) {
-          ESP_RETURN_IF_ERROR(LoadStageBlob(stage.get(), r));
+  ESP_RETURN_IF_ERROR(core_.RestoreStages(
+      in, [this](size_t i, ByteReader& r) -> Status {
+        for (ReceptorChain& chain : types_[i].receptors) {
+          for (std::unique_ptr<Stage>& stage : chain.point) {
+            ESP_RETURN_IF_ERROR(LoadStageBlob(stage.get(), r));
+          }
+          if (chain.smooth != nullptr) {
+            ESP_RETURN_IF_ERROR(LoadStageBlob(chain.smooth.get(), r));
+          }
         }
-        if (chain.smooth != nullptr) {
-          ESP_RETURN_IF_ERROR(LoadStageBlob(chain.smooth.get(), r));
+        for (GroupChain& group : types_[i].groups) {
+          if (group.merge != nullptr) {
+            ESP_RETURN_IF_ERROR(LoadStageBlob(group.merge.get(), r));
+          }
         }
-      }
-      for (GroupChain& group : type.groups) {
-        if (group.merge != nullptr) {
-          ESP_RETURN_IF_ERROR(LoadStageBlob(group.merge.get(), r));
-        }
-      }
-      if (type.arbitrate != nullptr) {
-        ESP_RETURN_IF_ERROR(LoadStageBlob(type.arbitrate.get(), r));
-      }
-    }
-    if (virtualize_ != nullptr) {
-      ESP_RETURN_IF_ERROR(LoadStageBlob(virtualize_.get(), r));
-    }
-    if (!r.exhausted()) {
-      return Status::ParseError("stages section has trailing bytes");
-    }
-  }
+        return Status::OK();
+      }));
 
-  // --- errors.
-  {
-    ESP_ASSIGN_OR_RETURN(const std::string_view payload,
-                         in.Section("errors"));
-    ByteReader r(payload);
-    ESP_ASSIGN_OR_RETURN(const uint32_t count, r.ReadU32());
-    stage_errors_.clear();
-    for (uint32_t i = 0; i < count; ++i) {
-      ESP_ASSIGN_OR_RETURN(std::string label, r.ReadString());
-      StageErrorStat stat;
-      stat.stage = label;
-      ESP_ASSIGN_OR_RETURN(stat.errors, r.ReadI64());
-      ESP_ASSIGN_OR_RETURN(stat.last_message, r.ReadString());
-      stage_errors_.emplace(std::move(label), std::move(stat));
-    }
-    if (!r.exhausted()) {
-      return Status::ParseError("errors section has trailing bytes");
-    }
-  }
-
-  // --- queries (absent in snapshots without subscriptions).
-  ESP_RETURN_IF_ERROR(queries_.Restore(in, QueryStreams()));
-  return Status::OK();
-}
-
-QueryServingLayer::StreamLister EspProcessor::QueryStreams() const {
-  return [this]() -> StatusOr<
-                      std::vector<std::pair<std::string, SchemaRef>>> {
-    if (!started_) return Status::Internal("processor not started");
-    std::vector<std::pair<std::string, SchemaRef>> streams;
-    streams.reserve(types_.size());
-    for (const TypeRuntime& type : types_) {
-      streams.emplace_back(type.config.virtualize_input, type.output_schema);
-    }
-    return streams;
-  };
-}
-
-Status EspProcessor::RegisterQuery(const std::string& tenant,
-                                   const std::string& name,
-                                   const std::string& query_text) {
-  if (!started_) return Status::Internal("processor not started");
-  return queries_.Register(QueryStreams(), tenant, name, query_text);
-}
-
-Status EspProcessor::UnregisterQuery(const std::string& name) {
-  return queries_.Unregister(name);
-}
-
-Status EspProcessor::SetTenantBudgets(const std::string& tenant,
-                                      const cql::TenantBudgets& budgets) {
-  return queries_.SetTenantBudgets(tenant, budgets);
-}
-
-StatusOr<SchemaRef> EspProcessor::TypeOutputSchema(
-    const std::string& device_type) const {
-  for (const TypeRuntime& type : types_) {
-    if (StrEqualsIgnoreCase(type.config.device_type, device_type)) {
-      if (!started_) return Status::Internal("processor not started");
-      return type.output_schema;
-    }
-  }
-  return Status::NotFound("no pipeline for device type '" + device_type +
-                          "'");
+  return core_.RestoreErrorsAndQueries(in);
 }
 
 }  // namespace esp::core

@@ -1,9 +1,7 @@
 #ifndef ESP_CORE_SHARDED_PROCESSOR_H_
 #define ESP_CORE_SHARDED_PROCESSOR_H_
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -13,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "common/time.h"
 #include "core/engine.h"
+#include "core/engine_core.h"
 #include "core/processor.h"
 #include "core/query_serving.h"
 
@@ -32,7 +31,7 @@ namespace esp::core {
 /// single processor's group-ordered Union. The only cross-group stages —
 /// Arbitrate (per type) and Virtualize (cross-type) — are stripped from the
 /// shards and run serially in this wrapper over the merged stream, exactly
-/// where the single processor runs them.
+/// where the single processor runs them, by the same EngineCore code.
 ///
 /// The parallel win on top of the pipeline parallelism: Push's linear
 /// receptor scan and Tick's per-receptor group routing shrink by the shard
@@ -62,10 +61,16 @@ class ShardedEspProcessor : public StreamEngine {
   ShardedEspProcessor& operator=(const ShardedEspProcessor&) = delete;
 
   Status AddProximityGroup(ProximityGroup group);
-  Status AddPipeline(DeviceTypePipeline pipeline);
-  Status SetHealthPolicy(HealthPolicy policy);
-  const HealthPolicy& health_policy() const { return policy_; }
-  void SetVirtualize(std::unique_ptr<Stage> stage);
+  Status AddPipeline(DeviceTypePipeline pipeline) {
+    return core_.AddPipeline(std::move(pipeline));
+  }
+  Status SetHealthPolicy(HealthPolicy policy) {
+    return core_.SetHealthPolicy(policy);
+  }
+  const HealthPolicy& health_policy() const { return core_.policy(); }
+  void SetVirtualize(std::unique_ptr<Stage> stage) {
+    core_.SetVirtualize(std::move(stage));
+  }
 
   /// Partitions groups, builds the shards, binds the wrapper's Arbitrate
   /// and Virtualize stages, and freezes configuration.
@@ -80,23 +85,30 @@ class ShardedEspProcessor : public StreamEngine {
   /// TickResult::group_partials in shard order (per type, that is global
   /// group-registration order thanks to block contiguity).
   void SetExportGroupPartials(bool enabled) override;
-  bool has_ticked() const override { return has_ticked_; }
-  Timestamp last_tick() const override { return last_tick_; }
+  bool has_ticked() const override { return core_.has_ticked(); }
+  Timestamp last_tick() const override { return core_.last_tick(); }
   StatusOr<stream::SchemaRef> TypeReadingSchema(
-      const std::string& device_type) const override;
+      const std::string& device_type) const override {
+    return core_.TypeReadingSchema(device_type);
+  }
   Status Checkpoint(CheckpointWriter& out) const override;
   Status Restore(const CheckpointReader& in) override;
-  RecoveryStats& mutable_recovery_stats() override { return recovery_stats_; }
-  IngestStats& mutable_ingest_stats() override { return ingest_stats_; }
+  RecoveryStats& mutable_recovery_stats() override {
+    return core_.mutable_recovery_stats();
+  }
+  IngestStats& mutable_ingest_stats() override {
+    return core_.mutable_ingest_stats();
+  }
   void SetIngestStatsSource(IngestStatsSource source) override {
-    std::lock_guard<std::mutex> lock(ingest_source_mu_);
-    ingest_source_ = std::move(source);
+    core_.SetIngestStatsSource(std::move(source));
   }
   PipelineHealth Health() const override;
 
   /// Cleaned-output schema of one device type; valid after Start().
   StatusOr<stream::SchemaRef> TypeOutputSchema(
-      const std::string& device_type) const;
+      const std::string& device_type) const {
+    return core_.TypeOutputSchema(device_type);
+  }
 
   /// Total tuples buffered across every shard and the wrapper's stages.
   size_t BufferedTuples() const;
@@ -105,45 +117,22 @@ class ShardedEspProcessor : public StreamEngine {
   /// outputs — the serving layer lives in the wrapper, where those streams
   /// are reassembled, never in the shards. See EspProcessor.
   Status SetQueryServingOptions(cql::QueryRegistry::Options options) {
-    return queries_.Configure(std::move(options));
+    return core_.query_serving().Configure(std::move(options));
   }
   Status RegisterQuery(const std::string& tenant, const std::string& name,
-                       const std::string& query_text) override;
-  Status UnregisterQuery(const std::string& name) override;
+                       const std::string& query_text) override {
+    return core_.RegisterQuery(tenant, name, query_text);
+  }
+  Status UnregisterQuery(const std::string& name) override {
+    return core_.query_serving().Unregister(name);
+  }
   Status SetTenantBudgets(const std::string& tenant,
-                          const cql::TenantBudgets& budgets) override;
-  QueryServingLayer& query_serving() { return queries_; }
+                          const cql::TenantBudgets& budgets) override {
+    return core_.query_serving().SetTenantBudgets(tenant, budgets);
+  }
+  QueryServingLayer& query_serving() { return core_.query_serving(); }
 
  private:
-  /// Wrapper-side view of one device type: its original config (with the
-  /// Arbitrate factory), which shards host at least one of its groups, and
-  /// the wrapper's own Arbitrate instance.
-  struct TypeRuntime {
-    DeviceTypePipeline config;
-    std::vector<size_t> hosting_shards;   // Shard indices, ascending.
-    std::unique_ptr<Stage> arbitrate;     // May be null.
-    stream::SchemaRef group_output_schema;  // Shards' per-type output.
-    stream::SchemaRef output_schema;        // After wrapper Arbitrate.
-  };
-
-  StatusOr<TypeRuntime*> FindType(const std::string& device_type);
-  StatusOr<const TypeRuntime*> FindType(const std::string& device_type) const;
-
-  /// Streams the serving layer exposes: each type's virtualize_input name
-  /// with its final (post-Arbitrate) output schema.
-  QueryServingLayer::StreamLister QueryStreams() const;
-
-  /// Mirror of EspProcessor::RunStageGuarded for the wrapper-owned stages
-  /// (Arbitrate / Virtualize are never receptor-owned, so no chain).
-  StatusOr<stream::Relation> RunStageGuarded(Stage* stage,
-                                             const std::string& input_name,
-                                             stream::Relation input,
-                                             Timestamp now,
-                                             const std::string& device_type,
-                                             const std::string& owner_id);
-  void RecordStageError(Stage* stage, const std::string& device_type,
-                        const std::string& owner_id, const Status& status);
-
   /// Deterministic byte string identifying the deployed topology, policy,
   /// and shard count; Restore refuses snapshots whose fingerprint differs.
   ByteWriter ConfigFingerprint() const;
@@ -155,30 +144,18 @@ class ShardedEspProcessor : public StreamEngine {
   /// Staging registry (registration-ordered); used to validate, partition,
   /// and build the routing map. Not updated by shard-local quarantine moves.
   GranuleMap staged_granules_;
-  std::vector<TypeRuntime> types_;
-  std::unique_ptr<Stage> virtualize_;
-  HealthPolicy policy_;
+  /// Type registry, validation, the wrapper's Arbitrate/Virtualize tail,
+  /// its error tallies and query serving.
+  EngineCore core_;
+  /// Per type (core_'s order): the shards hosting at least one of its
+  /// groups, ascending.
+  std::vector<std::vector<size_t>> hosting_shards_;
 
   std::vector<std::unique_ptr<EspProcessor>> shards_;
   /// (device_type '\0' receptor_id) -> shard index, case-insensitive.
   std::unordered_map<std::string, size_t, AsciiCaseHash, AsciiCaseEq>
       receptor_shard_;
-
-  /// Wrapper-stage error tallies (Arbitrate / Virtualize labels only;
-  /// shard-local labels live in the shards and are merged by Health()).
-  std::map<std::string, StageErrorStat> stage_errors_;
-  RecoveryStats recovery_stats_;
-  IngestStats ingest_stats_;
-  /// Multi-tenant standing-query serving over the reassembled outputs.
-  QueryServingLayer queries_;
-  /// Guards ingest_source_ against Health() racing the ingest server's
-  /// install/freeze (see engine.h).
-  mutable std::mutex ingest_source_mu_;
-  IngestStatsSource ingest_source_;
-  bool started_ = false;
-  bool has_ticked_ = false;
   bool export_group_partials_ = false;
-  Timestamp last_tick_;
 };
 
 }  // namespace esp::core

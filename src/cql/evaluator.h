@@ -8,6 +8,7 @@
 #include "common/time.h"
 #include "cql/analyzer.h"
 #include "cql/ast.h"
+#include "stream/column.h"
 #include "stream/tuple.h"
 #include "stream/window.h"
 

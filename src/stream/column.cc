@@ -8,10 +8,12 @@ namespace esp::stream {
 namespace {
 std::atomic<bool> g_columnar_enabled{true};
 
-/// Rows evicted before physical compaction kicks in. Compaction erases from
-/// the vector fronts (a memmove), so it runs rarely and only when the dead
-/// prefix dominates the live contents.
-constexpr size_t kCompactMinDead = 4096;
+/// Compaction erases the dead prefix from the vector fronts (a memmove of
+/// the live rows), so it runs only once the dead prefix is at least as long
+/// as the live contents — amortised O(1) per evicted row — and at least one
+/// 64-row bitmap word long. Storage thus stays within about twice the live
+/// window, however small the window is.
+constexpr size_t kCompactMinDead = 64;
 }  // namespace
 
 void SetColumnarEnabled(bool enabled) {
@@ -163,7 +165,7 @@ void ColumnarWindow::PopFront(size_t n) {
 }
 
 void ColumnarWindow::MaybeCompact() {
-  if (head_ < kCompactMinDead || head_ < size()) return;
+  if (head_ < std::max(kCompactMinDead, size())) return;
   // Erase a 64-row-aligned prefix so null bitmap words shift whole.
   const size_t drop = head_ & ~size_t{63};
   if (drop == 0) return;

@@ -55,6 +55,9 @@ class ColumnarWindow {
   size_t num_columns() const { return columns_.size(); }
   size_t size() const { return total_rows_ - head_; }
   bool empty() const { return size() == 0; }
+  /// Rows held in storage: the live rows plus the evicted prefix not yet
+  /// compacted away.
+  size_t physical_rows() const { return total_rows_; }
 
   /// Appends one tuple. Missing trailing fields store as null.
   void Append(const Tuple& tuple);

@@ -44,14 +44,6 @@ Status WindowBuffer::Insert(Tuple tuple) {
   last_insert_time_ = tuple.timestamp();
   has_inserted_ = true;
   ++generation_;
-  // Keep an already-built columnar mirror in sync incrementally; otherwise
-  // (or when the toggle is off) it goes stale and rebuilds on next access.
-  if (columns_synced_ && ColumnarEnabled()) {
-    columns_.Append(tuple);
-    columns_generation_ = generation_;
-  } else {
-    columns_synced_ = false;
-  }
   buffer_.push_back(std::move(tuple));
   cache_valid_ = false;
   return Status::OK();
@@ -85,51 +77,10 @@ void WindowBuffer::EvictBefore(Timestamp t) {
     case WindowKind::kUnbounded:
       break;  // Nothing ever dies.
   }
-  const size_t evicted = before - buffer_.size();
-  if (evicted > 0) {
+  if (buffer_.size() != before) {
     ++generation_;
     cache_valid_ = false;
-    if (columns_synced_) {
-      columns_.PopFront(evicted);
-      columns_generation_ = generation_;
-    }
   }
-}
-
-const ColumnarWindow& WindowBuffer::Columns() const {
-  // A mirror that claims to be in sync must have been synced at the current
-  // generation — the incremental paths stamp it on every mutation.
-  assert(!columns_synced_ || columns_generation_ == generation_);
-  if (!columns_synced_ || columns_generation_ != generation_ ||
-      columns_.schema() != schema_) {
-    columns_.Reset(schema_);
-    for (const Tuple& tuple : buffer_) columns_.Append(tuple);
-    columns_synced_ = true;
-    columns_generation_ = generation_;
-    ++column_rebuilds_;
-  }
-  return columns_;
-}
-
-std::pair<size_t, size_t> WindowBuffer::ColumnsRange(Timestamp t) const {
-  const ColumnarWindow& cols = Columns();
-  switch (spec_.kind) {
-    case WindowKind::kRange: {
-      const Timestamp effective = spec_.EffectiveTime(t);
-      const Timestamp low = effective - spec_.range;  // Exclusive bound.
-      return {cols.UpperBound(low), cols.UpperBound(effective)};
-    }
-    case WindowKind::kNow:
-      return {cols.LowerBound(t), cols.UpperBound(t)};
-    case WindowKind::kRows: {
-      const size_t hi = cols.UpperBound(t);
-      const size_t n = static_cast<size_t>(spec_.rows);
-      return {hi > n ? hi - n : 0, hi};
-    }
-    case WindowKind::kUnbounded:
-      return {0, cols.UpperBound(t)};
-  }
-  return {0, 0};
 }
 
 void WindowBuffer::SaveState(ByteWriter& w) const {
@@ -151,7 +102,6 @@ Status WindowBuffer::LoadState(ByteReader& r) {
   }
   ++generation_;
   cache_valid_ = false;
-  columns_synced_ = false;
   return Status::OK();
 }
 

@@ -3,12 +3,10 @@
 
 #include <deque>
 #include <string>
-#include <utility>
 
 #include "common/binio.h"
 #include "common/status.h"
 #include "common/time.h"
-#include "stream/column.h"
 #include "stream/tuple.h"
 
 namespace esp::stream {
@@ -104,29 +102,16 @@ class WindowBuffer {
 
   size_t buffered() const { return buffer_.size(); }
 
-  /// The columnar mirror of the buffered tuples (see stream/column.h).
-  /// Built lazily on first access; once built, Insert/EvictBefore keep it
-  /// incrementally up to date (while ColumnarEnabled()), so steady-state
-  /// access is O(delta). Valid until the next mutation.
-  const ColumnarWindow& Columns() const;
-
-  /// Live-row index range [lo, hi) of Columns() covered by the window at
-  /// time t — the columnar equivalent of Snapshot(t). Implies Columns().
-  std::pair<size_t, size_t> ColumnsRange(Timestamp t) const;
-
-  /// Observability: full materializations per representation. A row
-  /// snapshot rebuild must not be forced by columnar access and vice versa
-  /// — the caches invalidate per-representation.
+  /// Observability: full snapshot materializations (cache misses).
   size_t snapshot_rebuilds() const { return snapshot_rebuilds_; }
-  size_t column_rebuilds() const { return column_rebuilds_; }
 
   /// Monotonic mutation counter: bumped by every Insert, every EvictBefore
-  /// that removes a tuple, and LoadState. Both the row-snapshot cache and
-  /// the columnar mirror record the generation they were built (or last
-  /// synced) at and are trusted only while it still matches, so multiple
-  /// plans reading one shared buffer can never observe a snapshot from
-  /// before an interleaved mutation — the invalidation contract is the
-  /// counter, not the mutators remembering to clear every flag.
+  /// that removes a tuple, and LoadState. The row-snapshot cache records
+  /// the generation it was built at and is trusted only while it still
+  /// matches, so multiple plans reading one shared buffer can never observe
+  /// a snapshot from before an interleaved mutation — the invalidation
+  /// contract is the counter, not the mutators remembering to clear every
+  /// flag.
   uint64_t generation() const { return generation_; }
 
   /// Serializes the live contents (tuples + insertion clock) for the
@@ -164,14 +149,6 @@ class WindowBuffer {
   mutable Relation cache_;
   mutable size_t snapshot_rebuilds_ = 0;
   mutable uint64_t cache_generation_ = 0;  // generation_ when cache_ built.
-
-  /// Columnar mirror, maintained independently of the row snapshot cache:
-  /// mutations update (or lazily stale-mark) the columns without touching
-  /// `cache_`, and a columnar rebuild never invalidates the row snapshot.
-  mutable ColumnarWindow columns_;
-  mutable bool columns_synced_ = false;
-  mutable size_t column_rebuilds_ = 0;
-  mutable uint64_t columns_generation_ = 0;  // generation_ at last sync.
 };
 
 }  // namespace esp::stream

@@ -3,15 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/binio.h"
+#include "common/rng.h"
 #include "core/journal.h"
+#include "core/processor.h"
+#include "core/sharded_processor.h"
+#include "core/toolkit.h"
 #include "sim/reading.h"
+#include "stream/serialize.h"
 
 namespace esp::core {
 namespace {
 
+using stream::Relation;
 using stream::Tuple;
 
 std::string TempPath(const std::string& name) {
@@ -303,6 +311,212 @@ TEST(JournalTest, FileShorterThanHeaderScansAsEmpty) {
   EXPECT_EQ(scan->valid_bytes, 0u);
   EXPECT_EQ(scan->torn_bytes, 3u);
   std::remove(path.c_str());
+}
+
+
+// --- Engine snapshot format pin -------------------------------------------
+//
+// Snapshots outlive the binary that wrote them: a restarted deployment must
+// restore what the previous build checkpointed. The constants below pin the
+// exact bytes EspProcessor and the 2-shard ShardedEspProcessor produce for
+// one seeded deployment that fills every section — two device types, an
+// Arbitrate, a Virtualize, a Smooth that fails under kDegrade (non-empty
+// "errors") and one standing query ("queries"). They were computed at the
+// commit that introduced core::EngineCore, on the engines as they stood
+// before it, so a refactor that changes any byte fails here.
+
+/// A pass-through Smooth that fails every third Evaluate (kDegrade then
+/// passes its input through and tallies the error).
+StageFactory FlakySmooth() {
+  return []() -> StatusOr<std::unique_ptr<Stage>> {
+    class Flaky : public Stage {
+     public:
+      Flaky() : Stage(StageKind::kSmooth, "flaky_smooth") {}
+      Status Bind(const cql::SchemaCatalog& inputs) override {
+        ESP_ASSIGN_OR_RETURN(output_schema_,
+                             inputs.Find(StageInputName(StageKind::kSmooth)));
+        return Status::OK();
+      }
+      Status Push(const std::string&, Tuple tuple) override {
+        buffer_.push_back(std::move(tuple));
+        return Status::OK();
+      }
+      StatusOr<Relation> Evaluate(Timestamp) override {
+        if (++calls_ % 3 == 0) {
+          buffer_.clear();
+          return Status::Internal("flaky smooth failure");
+        }
+        Relation out(output_schema_);
+        for (Tuple& tuple : buffer_) out.Add(std::move(tuple));
+        buffer_.clear();
+        return out;
+      }
+      size_t buffered() const override { return buffer_.size(); }
+
+     private:
+      int calls_ = 0;
+      std::vector<Tuple> buffer_;
+    };
+    return std::unique_ptr<Stage>(new Flaky());
+  };
+}
+
+template <typename Engine>
+Status ConfigurePinned(Engine& engine) {
+  for (int s = 0; s < 3; ++s) {
+    ESP_RETURN_IF_ERROR(engine.AddProximityGroup(
+        {"pg_shelf" + std::to_string(s), "rfid",
+         SpatialGranule{"shelf_" + std::to_string(s)},
+         {"reader_" + std::to_string(s)}}));
+  }
+  for (int r = 0; r < 2; ++r) {
+    ESP_RETURN_IF_ERROR(engine.AddProximityGroup(
+        {"pg_room" + std::to_string(r), "mote",
+         SpatialGranule{"room_" + std::to_string(r)},
+         {"mote_" + std::to_string(r) + "_0",
+          "mote_" + std::to_string(r) + "_1"}}));
+  }
+  DeviceTypePipeline rfid;
+  rfid.device_type = "rfid";
+  rfid.reading_schema = sim::RfidReadingSchema();
+  rfid.receptor_id_column = "reader_id";
+  rfid.smooth =
+      SmoothPresenceCount(TemporalGranule(Duration::Seconds(3)), "tag_id");
+  rfid.arbitrate = ArbitrateMaxCount("tag_id", "reads");
+  ESP_RETURN_IF_ERROR(engine.AddPipeline(std::move(rfid)));
+
+  DeviceTypePipeline mote;
+  mote.device_type = "mote";
+  mote.reading_schema = sim::TempReadingSchema();
+  mote.receptor_id_column = "mote_id";
+  mote.point.push_back(PointFilter("temp < 50"));
+  mote.smooth = FlakySmooth();
+  mote.merge = MergeWindowedAverage(TemporalGranule(Duration::Seconds(3)),
+                                    "temp");
+  ESP_RETURN_IF_ERROR(engine.AddPipeline(std::move(mote)));
+
+  ESP_ASSIGN_OR_RETURN(
+      std::unique_ptr<Stage> virtualize,
+      VirtualizeVote({{"rfid_input", "reads >= 2"},
+                      {"mote_input", "temp > 30"}},
+                     2, "occupied"));
+  engine.SetVirtualize(std::move(virtualize));
+  ESP_RETURN_IF_ERROR(engine.Start());
+  return engine.RegisterQuery(
+      "t", "q", "SELECT count(*) AS n FROM rfid_input [Range By '10 sec']");
+}
+
+/// Seeded readings for tick `t` (the same stream on every call sequence).
+std::vector<std::pair<std::string, Tuple>> PinnedReadings(int t, Rng& rng) {
+  std::vector<std::pair<std::string, Tuple>> out;
+  for (int s = 0; s < 3; ++s) {
+    const int reads = 1 + static_cast<int>(rng.NextUint64() % 3);
+    for (int i = 0; i < reads; ++i) {
+      const int shelf = rng.NextDouble() < 0.25 ? (s + 1) % 3 : s;
+      out.emplace_back(
+          "rfid", sim::ToTuple(sim::RfidReading{
+                      "reader_" + std::to_string(s),
+                      "tag_" + std::to_string(shelf) + "_" +
+                          std::to_string(rng.NextUint64() % 3),
+                      Timestamp::Seconds(t)}));
+    }
+  }
+  for (int r = 0; r < 2; ++r) {
+    for (int m = 0; m < 2; ++m) {
+      out.emplace_back("mote", sim::ToTempTuple(sim::MoteReading{
+                                   "mote_" + std::to_string(r) + "_" +
+                                       std::to_string(m),
+                                   rng.Uniform(15.0, 60.0),
+                                   Timestamp::Seconds(t)}));
+    }
+  }
+  return out;
+}
+
+std::string TickBytes(const TickResult& result) {
+  ByteWriter w;
+  for (const auto& [type, relation] : result.per_type) {
+    w.WriteString(type);
+    w.WriteU32(static_cast<uint32_t>(relation.size()));
+    for (const Tuple& tuple : relation.tuples()) stream::WriteTuple(w, tuple);
+  }
+  w.WriteBool(result.virtualized.has_value());
+  if (result.virtualized.has_value()) {
+    w.WriteU32(static_cast<uint32_t>(result.virtualized->size()));
+    for (const Tuple& tuple : result.virtualized->tuples()) {
+      stream::WriteTuple(w, tuple);
+    }
+  }
+  for (const cql::SubscriptionResult& q : result.query_results) {
+    w.WriteString(q.name);
+    w.WriteString(q.status.ToString());
+    if (q.result != nullptr) {
+      for (const Tuple& tuple : q.result->tuples()) {
+        stream::WriteTuple(w, tuple);
+      }
+    }
+  }
+  return std::move(w).Release();
+}
+
+/// Runs `make()`'s engine for 9 ticks, checks the snapshot's CRC32 and
+/// length against the pins, restores the bytes into a fresh engine, and
+/// checks the next three ticks against the uninterrupted one.
+template <typename Engine, typename Make>
+void CheckPinnedSnapshot(Make make, uint32_t want_crc, size_t want_size) {
+  std::unique_ptr<Engine> original = make();
+  ASSERT_TRUE(ConfigurePinned(*original).ok());
+  Rng rng(20061);
+  int t = 0;
+  for (; t < 9; ++t) {
+    for (auto& [type, reading] : PinnedReadings(t, rng)) {
+      ASSERT_TRUE(original->Push(type, std::move(reading)).ok());
+    }
+    ASSERT_TRUE(original->Tick(Timestamp::Seconds(t)).ok());
+  }
+  ASSERT_GT(original->Health().total_stage_errors, 0);
+
+  CheckpointWriter snapshot;
+  ASSERT_TRUE(original->Checkpoint(snapshot).ok());
+  const std::string bytes = snapshot.Serialize();
+  // CRC32 of the body before the trailing checksum (the CRC of a whole
+  // container is the same constant residue for every snapshot).
+  EXPECT_EQ(Crc32(std::string_view(bytes).substr(0, bytes.size() - 4)),
+            want_crc);
+  EXPECT_EQ(bytes.size(), want_size);
+
+  std::unique_ptr<Engine> restored = make();
+  ASSERT_TRUE(ConfigurePinned(*restored).ok());
+  auto reader = CheckpointReader::Parse(bytes);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_TRUE(reader->HasSection("errors"));
+  ASSERT_TRUE(reader->HasSection("queries"));
+  ASSERT_TRUE(restored->Restore(*reader).ok());
+  for (; t < 12; ++t) {
+    for (auto& [type, reading] : PinnedReadings(t, rng)) {
+      ASSERT_TRUE(original->Push(type, reading).ok());
+      ASSERT_TRUE(restored->Push(type, std::move(reading)).ok());
+    }
+    auto want = original->Tick(Timestamp::Seconds(t));
+    auto got = restored->Tick(Timestamp::Seconds(t));
+    ASSERT_TRUE(want.ok()) << want.status();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(TickBytes(*got), TickBytes(*want)) << "t=" << t;
+  }
+}
+
+TEST(CheckpointFormatTest, ProcessorSnapshotBytesArePinned) {
+  CheckPinnedSnapshot<EspProcessor>(
+      [] { return std::make_unique<EspProcessor>(); }, 1500486914u, 8019u);
+}
+
+TEST(CheckpointFormatTest, ShardedSnapshotBytesArePinned) {
+  CheckPinnedSnapshot<ShardedEspProcessor>(
+      [] {
+        return std::make_unique<ShardedEspProcessor>(
+            ShardedEspProcessor::Options{.num_shards = 2});
+      },
+      4095573578u, 8793u);
 }
 
 }  // namespace

@@ -206,19 +206,52 @@ TEST(ClusterTest, MatchesMonolithBitwiseWithoutFaults) {
   EXPECT_TRUE((*cluster)->Stop().ok());
 }
 
-TEST(ClusterTest, PushValidatesTypeSchemaAndReceptor) {
+TEST(ClusterTest, PushVerdictsMatchSingleProcessor) {
+  EspProcessor single;
+  for (const core::ProximityGroup& group : FourGroups()) {
+    ASSERT_TRUE(single.AddProximityGroup(group).ok());
+  }
+  ASSERT_TRUE(single.AddPipeline(RfidPipeline()).ok());
+  ASSERT_TRUE(single.Start().ok());
+
   ForkWorkerSupervisor supervisor;
   auto cluster = StartCluster(
-      TestClusterOptions(FreshDir("cluster_push_validation")), &supervisor);
+      TestClusterOptions(FreshDir("cluster_push_verdicts")), &supervisor);
   ASSERT_TRUE(cluster.ok()) << cluster.status();
 
-  const Status unknown_type = (*cluster)->Push("sonar", Rfid(0, "x", 0));
-  EXPECT_EQ(unknown_type.code(), StatusCode::kNotFound);
+  // Unknown device type.
+  Status a = single.Push("sonar", Rfid(0, "x", 0));
+  Status b = (*cluster)->Push("sonar", Rfid(0, "x", 0));
+  EXPECT_EQ(a.code(), StatusCode::kNotFound);
+  EXPECT_EQ(a.ToString(), b.ToString());
 
-  const Status unknown_receptor =
-      (*cluster)->Push("rfid", sim::ToTuple(sim::RfidReading{
-                                   "reader_99", "x", Timestamp::Seconds(0)}));
-  EXPECT_EQ(unknown_receptor.code(), StatusCode::kNotFound);
+  // Unknown receptor.
+  a = single.Push("rfid", Rfid(99, "x", 0));
+  b = (*cluster)->Push("rfid", Rfid(99, "x", 0));
+  EXPECT_EQ(a.code(), StatusCode::kNotFound);
+  EXPECT_EQ(a.ToString(), b.ToString());
+
+  // Wrong schema.
+  const auto bad_schema =
+      stream::MakeSchema({{"something", stream::DataType::kDouble}});
+  const Tuple bad(bad_schema, {stream::Value::Double(1.0)},
+                  Timestamp::Seconds(0));
+  a = single.Push("rfid", bad);
+  b = (*cluster)->Push("rfid", bad);
+  EXPECT_EQ(a.code(), StatusCode::kTypeError);
+  EXPECT_EQ(a.ToString(), b.ToString());
+
+  // The pipeline's schema, but a receptor id that is not a string.
+  const Tuple int_id(sim::RfidReadingSchema(),
+                     {stream::Value::Int64(7), stream::Value::String("x")},
+                     Timestamp::Seconds(0));
+  a = single.Push("rfid", int_id);
+  b = (*cluster)->Push("rfid", int_id);
+  EXPECT_EQ(a.code(), StatusCode::kTypeError);
+  EXPECT_EQ(a.ToString(), b.ToString());
+
+  // Type and receptor routing are case-insensitive.
+  EXPECT_TRUE((*cluster)->Push("RFID", Rfid(0, "x", 0)).ok());
 
   // Group placement is total and case-insensitive.
   for (const core::ProximityGroup& group : FourGroups()) {
@@ -227,6 +260,96 @@ TEST(ClusterTest, PushValidatesTypeSchemaAndReceptor) {
     EXPECT_LT(*slot, 2u);
   }
   EXPECT_FALSE((*cluster)->SlotOfGroup("rfid", "pg_nowhere").ok());
+}
+
+TEST(ClusterTest, ConfigurationIsValidatedBeforeStart) {
+  ClusterCoordinator cluster(TestClusterOptions(FreshDir("cluster_config")));
+  core::HealthPolicy policy;
+  policy.staleness_threshold = Duration::Seconds(1);
+  policy.lateness_horizon = Duration::Seconds(1);
+  EXPECT_EQ(cluster.SetHealthPolicy(policy).code(),
+            StatusCode::kInvalidArgument);
+  policy.staleness_threshold = Duration::Seconds(2);
+  EXPECT_TRUE(cluster.SetHealthPolicy(policy).ok());
+
+  core::DeviceTypePipeline no_schema = RfidPipeline();
+  no_schema.reading_schema = nullptr;
+  EXPECT_EQ(cluster.AddPipeline(no_schema).code(),
+            StatusCode::kInvalidArgument);
+  core::DeviceTypePipeline bad_column = RfidPipeline();
+  bad_column.receptor_id_column = "nope";
+  EXPECT_EQ(cluster.AddPipeline(bad_column).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(cluster.AddPipeline(RfidPipeline()).ok());
+  core::DeviceTypePipeline twin = RfidPipeline();
+  twin.device_type = "RFID";
+  EXPECT_EQ(cluster.AddPipeline(twin).code(), StatusCode::kAlreadyExists);
+}
+
+/// An Arbitrate that fails every Evaluate; its output schema is its input
+/// schema, so kDegrade passes the merged stream through.
+core::StageFactory FailingArbitrate() {
+  return []() -> StatusOr<std::unique_ptr<core::Stage>> {
+    class Failing : public core::Stage {
+     public:
+      Failing() : Stage(core::StageKind::kArbitrate, "failing_arbitrate") {}
+      Status Bind(const cql::SchemaCatalog& inputs) override {
+        ESP_ASSIGN_OR_RETURN(
+            output_schema_,
+            inputs.Find(core::StageInputName(core::StageKind::kArbitrate)));
+        return Status::OK();
+      }
+      Status Push(const std::string&, Tuple) override { return Status::OK(); }
+      StatusOr<stream::Relation> Evaluate(Timestamp) override {
+        return Status::Internal("arbitrate failure");
+      }
+      size_t buffered() const override { return 0; }
+    };
+    return std::unique_ptr<core::Stage>(new Failing());
+  };
+}
+
+TEST(ClusterTest, CentralStageErrorsAreLabelledLikeTheMonolith) {
+  core::DeviceTypePipeline pipeline = RfidPipeline();
+  pipeline.arbitrate = FailingArbitrate();
+
+  EspProcessor single;
+  for (const core::ProximityGroup& group : FourGroups()) {
+    ASSERT_TRUE(single.AddProximityGroup(group).ok());
+  }
+  ASSERT_TRUE(single.AddPipeline(pipeline).ok());
+  ASSERT_TRUE(single.Start().ok());
+
+  ForkWorkerSupervisor supervisor;
+  ClusterCoordinator cluster(TestClusterOptions(FreshDir("cluster_errors")));
+  for (const core::ProximityGroup& group : FourGroups()) {
+    ASSERT_TRUE(cluster.AddProximityGroup(group).ok());
+  }
+  ASSERT_TRUE(cluster.AddPipeline(pipeline).ok());
+  ASSERT_TRUE(cluster.Start(&supervisor).ok());
+
+  for (const Step& step : Script(3)) {
+    for (const Tuple& tuple : step.pushes) {
+      ASSERT_TRUE(single.Push("rfid", tuple).ok());
+      ASSERT_TRUE(cluster.Push("rfid", tuple).ok());
+    }
+    auto want = single.Tick(step.tick);
+    auto got = cluster.Tick(step.tick);
+    ASSERT_TRUE(want.ok()) << want.status();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(Fingerprint(*got), Fingerprint(*want));
+  }
+
+  const core::PipelineHealth health = single.Health();
+  ASSERT_EQ(health.stage_errors.size(), 1u);
+  EXPECT_EQ(health.stage_errors[0].stage, "rfid/Arbitrate[rfid]");
+  ASSERT_EQ(cluster.stage_errors().size(), 1u);
+  const core::StageErrorStat& stat = cluster.stage_errors().begin()->second;
+  EXPECT_EQ(stat.stage, health.stage_errors[0].stage);
+  EXPECT_EQ(stat.errors, 3);
+  EXPECT_EQ(stat.last_message, health.stage_errors[0].last_message);
+  EXPECT_EQ(cluster.stats().stage_errors, 3);
+  EXPECT_TRUE(cluster.Stop().ok());
 }
 
 TEST(ClusterTest, SigkilledWorkerFailsOverAndStaysBitwiseIdentical) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -81,10 +82,16 @@ TEST(ColumnarWindowTest, PopFrontEvictsAndCompacts) {
   EXPECT_TRUE(w.ValueAt(0, 0).Equals(Value::Int64(150)));
   EXPECT_EQ(w.i64_data(0)[0], 150);
   EXPECT_EQ(w.timestamps()[0], 1500);
+  // 150 dead rows do not yet dominate 250 live ones: nothing compacted.
+  EXPECT_EQ(w.physical_rows(), 400u);
   // Pop the rest in stages; every intermediate view stays coherent.
   w.PopFront(249);
   ASSERT_EQ(w.size(), 1u);
+  // 399 dead rows dominate: the 64-aligned dead prefix (384 rows) is gone.
+  EXPECT_EQ(w.physical_rows(), 16u);
   EXPECT_TRUE(w.ValueAt(0, 0).Equals(Value::Int64(399)));
+  EXPECT_EQ(w.i64_data(0)[0], 399);
+  EXPECT_EQ(w.timestamps()[0], 3990);
   w.PopFront(1);
   EXPECT_TRUE(w.empty());
   // And the window keeps working after total eviction.
@@ -92,6 +99,26 @@ TEST(ColumnarWindowTest, PopFrontEvictsAndCompacts) {
                Value::String("z"), 99999));
   EXPECT_EQ(w.size(), 1u);
   EXPECT_TRUE(w.ValueAt(0, 0).Equals(Value::Int64(9)));
+}
+
+TEST(ColumnarWindowTest, SmallWindowStorageStaysBounded) {
+  // A one-row window over a long stream (a per-receptor mirror): the
+  // evicted prefix is compacted away instead of piling up.
+  SchemaRef schema = TestSchema();
+  ColumnarWindow w(schema);
+  size_t max_physical = 0;
+  for (int64_t i = 0; i < 10000; ++i) {
+    w.Append(Row(schema, i % 7 == 0 ? Value::Null() : Value::Int64(i),
+                 Value::Double(i * 0.25), Value::String("s"), i));
+    if (w.size() > 1) w.PopFront(1);
+    max_physical = std::max(max_physical, w.physical_rows());
+    ASSERT_EQ(w.size(), 1u);
+    ASSERT_EQ(w.timestamps()[0], i);
+    ASSERT_EQ(w.null_count(0), i % 7 == 0 ? 1u : 0u);
+    ASSERT_LT(w.bit_offset(), 64u);
+  }
+  EXPECT_LE(max_physical, 65u);
+  EXPECT_TRUE(w.ValueAt(0, 1).Equals(Value::Double(9999 * 0.25)));
 }
 
 TEST(ColumnarWindowTest, NullCountTracksLiveRowsAcrossEviction) {

@@ -155,11 +155,9 @@ TEST(WindowBufferTest, RowsEvictionKeepsExactlyN) {
   EXPECT_EQ(buffer.buffered(), 4u);
 }
 
-TEST(WindowBufferTest, SnapshotAndColumnCachesInvalidateIndependently) {
-  // Regression: the row snapshot cache and the columnar mirror are separate
-  // representations of the same buffer. Reading one must never force a
-  // rebuild of the other, and a tick's worth of interleaved access pays for
-  // at most one rebuild per representation.
+TEST(WindowBufferTest, SnapshotCacheRebuildsOncePerMutation) {
+  // Re-reading the snapshot at the same instant is served from the cache,
+  // and a mutation costs at most one rebuild however often it is re-read.
   SchemaRef schema = ReadingSchema();
   WindowBuffer buffer(WindowSpec::Range(Duration::Seconds(5)), schema);
   for (int i = 0; i < 10; ++i) {
@@ -169,35 +167,23 @@ TEST(WindowBufferTest, SnapshotAndColumnCachesInvalidateIndependently) {
   const Timestamp t = Timestamp::Seconds(9);
   (void)buffer.Snapshot(t);
   const size_t snap_after_first = buffer.snapshot_rebuilds();
-  (void)buffer.Columns();
-  (void)buffer.ColumnsRange(t);
-  // Columnar access must not have invalidated the row snapshot...
+  (void)buffer.Snapshot(t);
   (void)buffer.Snapshot(t);
   EXPECT_EQ(buffer.snapshot_rebuilds(), snap_after_first);
-  // ...and re-reading the columns costs no further rebuilds either.
-  const size_t col_after_first = buffer.column_rebuilds();
-  (void)buffer.Columns();
-  (void)buffer.Snapshot(t);
-  (void)buffer.Columns();
-  EXPECT_EQ(buffer.column_rebuilds(), col_after_first);
 
-  // A mutation invalidates both, but each still rebuilds at most once.
   ASSERT_TRUE(buffer.Insert(MakeReading(schema, 10, 10)).ok());
   const Timestamp t2 = Timestamp::Seconds(10);
-  (void)buffer.Columns();
   (void)buffer.Snapshot(t2);
-  (void)buffer.Columns();
   (void)buffer.Snapshot(t2);
-  EXPECT_LE(buffer.snapshot_rebuilds(), snap_after_first + 1);
-  EXPECT_LE(buffer.column_rebuilds(), col_after_first + 1);
+  EXPECT_EQ(buffer.snapshot_rebuilds(), snap_after_first + 1);
 }
 
 TEST(WindowBufferTest, GenerationCounterGuardsInterleavedReaders) {
   // Regression for shared-window serving: two plans read one buffer within
   // a tick, and a mutation can land between their reads (another stream's
   // push, a mid-tick registration). Each mutation must bump the generation
-  // counter so the second reader's snapshot and columnar view are rebuilt
-  // rather than served from a cache built before the mutation.
+  // counter so the second reader's snapshot is rebuilt rather than served
+  // from a cache built before the mutation.
   SchemaRef schema = ReadingSchema();
   WindowBuffer buffer(WindowSpec::Range(Duration::Seconds(100)), schema);
   for (int i = 0; i < 4; ++i) {
@@ -205,23 +191,19 @@ TEST(WindowBufferTest, GenerationCounterGuardsInterleavedReaders) {
   }
 
   const Timestamp t = Timestamp::Seconds(50);
-  // Reader one: builds the row snapshot and the columnar mirror.
+  // Reader one: builds the row snapshot.
   EXPECT_EQ(buffer.Snapshot(t).size(), 4u);
-  EXPECT_EQ(buffer.Columns().size(), 4u);
   const uint64_t before = buffer.generation();
 
   // Interleaved mutation between the two readers.
   ASSERT_TRUE(buffer.Insert(MakeReading(schema, 4, 10)).ok());
   EXPECT_GT(buffer.generation(), before);
 
-  // Reader two, same tick instant: must see the mutation in both
-  // representations, not the reader-one caches.
+  // Reader two, same tick instant: must see the mutation, not the
+  // reader-one cache.
   Relation snapshot = buffer.Snapshot(t);
   ASSERT_EQ(snapshot.size(), 5u);
   EXPECT_EQ(snapshot.tuple(4).value(0).int64_value(), 4);
-  ASSERT_EQ(buffer.Columns().size(), 5u);
-  const auto [lo, hi] = buffer.ColumnsRange(t);
-  EXPECT_EQ(hi - lo, 5u);
 
   // Eviction that removes tuples is a mutation too; a no-op pass is not.
   const uint64_t after_insert = buffer.generation();
